@@ -58,10 +58,9 @@ from .scenario import (
     ScenarioSpec,
     TruncatedNormalIndoor,
     build_samples,
-    capacity_sweep,
-    retrofit_comparison,
     run_scenario,
     run_stock_scenario,
+    run_sweep,
     sample_indoor_temps,
 )
 from .stock import (
@@ -96,12 +95,12 @@ __all__ = [
     "HeatingSystem", "Level", "MissingParamsError", "ParseError", "RcDwelling",
     "RegionInfo", "RegionTable", "ScenarioRun", "ScenarioSpec", "SchemaError",
     "StockVariant", "ThermalParams", "TruncatedNormalIndoor", "UnresolvedLsoaError",
-    "build_envelope", "build_samples", "capacity_sweep", "capped_energy", "cop_at",
+    "build_envelope", "build_samples", "capped_energy", "cop_at",
     "default_regions_path", "derive_all", "evaluate", "export_plot_grid",
     "export_report", "finite_energy", "flexibility_magnitude", "heat_loss_coefficient",
     "initial_heat_output", "load_region_table", "load_report", "load_stock",
-    "read_scenario", "retrofit_comparison", "rollup", "run_scenario",
-    "run_stock_scenario", "sample_indoor_temps", "service_duration",
+    "read_scenario", "rollup", "run_scenario", "run_stock_scenario", "run_sweep",
+    "sample_indoor_temps", "service_duration",
     "service_duration_discrete", "size_heat_pump", "steady_state_temp",
     "thermal_capacity", "total_installed_thermal_kw", "winsorize_stock",
     "write_params_csv", "write_scenario", "write_stock",

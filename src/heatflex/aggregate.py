@@ -18,6 +18,7 @@ import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -55,8 +56,7 @@ class Envelope:
     def power_at(self, t: float) -> float:
         if t <= 0:
             return self.total_power
-        durations = [d for d, _ in self.breakpoints]
-        i = bisect.bisect_left(durations, t)
+        i = bisect.bisect_left(self.breakpoints, t, key=itemgetter(0))
         if i >= len(self.breakpoints):
             return self.unbounded_power
         return self.breakpoints[i][1]
@@ -166,6 +166,7 @@ class AggregateReport:
     groups: dict[str, GroupStats]
     total_installed_thermal_w: float
     total_magnitude_at_zero_w: float
+    total_unbounded_w: float
     total_finite_energy_wh: float
     unresolved_lsoas: tuple[str, ...] = ()
     excluded_power_w: float = 0.0
@@ -201,6 +202,7 @@ def rollup(outcomes: Outcomes, regions: RegionTable, level: Level) -> AggregateR
     groups: dict[str, GroupStats] = {}
     total_installed = 0.0
     total_magnitude = 0.0
+    total_unbounded = 0.0
     total_energy = 0.0
     for key in sorted(grouped):
         bucket = grouped[key]
@@ -212,6 +214,7 @@ def rollup(outcomes: Outcomes, regions: RegionTable, level: Level) -> AggregateR
         )
         total_installed += installed
         total_magnitude += envelope.total_power
+        total_unbounded += envelope.unbounded_power
         total_energy += energy
 
     return AggregateReport(
@@ -219,6 +222,7 @@ def rollup(outcomes: Outcomes, regions: RegionTable, level: Level) -> AggregateR
         groups=groups,
         total_installed_thermal_w=total_installed,
         total_magnitude_at_zero_w=total_magnitude,
+        total_unbounded_w=total_unbounded,
         total_finite_energy_wh=total_energy,
         unresolved_lsoas=tuple(sorted(unresolved)),
         excluded_power_w=excluded_power,
@@ -278,7 +282,7 @@ def _export_csv(report: AggregateReport, out_dir: Path) -> list[Path]:
             ])
         writer.writerow([
             report.level.value, _TOTAL_KEY, repr(report.total_installed_thermal_w),
-            repr(report.total_magnitude_at_zero_w), repr(0.0),
+            repr(report.total_magnitude_at_zero_w), repr(report.total_unbounded_w),
             repr(report.total_finite_energy_wh), repr(report.excluded_power_w),
         ])
 
@@ -309,6 +313,7 @@ def _export_json(report: AggregateReport, path: Path) -> Path:
         "totals": {
             "installed_w": report.total_installed_thermal_w,
             "magnitude_at_0_w": report.total_magnitude_at_zero_w,
+            "unbounded_w": report.total_unbounded_w,
             "finite_energy_wh": report.total_finite_energy_wh,
         },
         "unresolved_lsoas": list(report.unresolved_lsoas),
@@ -350,6 +355,7 @@ def _load_json(path: Path) -> AggregateReport:
         groups=groups,
         total_installed_thermal_w=float(doc["totals"]["installed_w"]),
         total_magnitude_at_zero_w=float(doc["totals"]["magnitude_at_0_w"]),
+        total_unbounded_w=float(doc["totals"]["unbounded_w"]),
         total_finite_energy_wh=float(doc["totals"]["finite_energy_wh"]),
         unresolved_lsoas=tuple(doc["unresolved_lsoas"]),
         excluded_power_w=float(doc["excluded_power_w"]),
@@ -375,6 +381,7 @@ def _load_csv(out_dir: Path) -> AggregateReport:
                 totals = {
                     "installed": float(row["installed_w"]),
                     "magnitude": float(row["magnitude_at_0_w"]),
+                    "unbounded": float(row["unbounded_w"]),
                     "energy": float(row["finite_energy_wh"]),
                 }
                 excluded = float(row["excluded_power_w"])
@@ -403,6 +410,7 @@ def _load_csv(out_dir: Path) -> AggregateReport:
         groups=groups,
         total_installed_thermal_w=totals["installed"],
         total_magnitude_at_zero_w=totals["magnitude"],
+        total_unbounded_w=totals["unbounded"],
         total_finite_energy_wh=totals["energy"],
         unresolved_lsoas=unresolved,
         excluded_power_w=excluded,

@@ -7,6 +7,11 @@ Subcommands:
   retrofit-compare  same scenario before and after energy efficiency measures
   synth             synthetic stock + lookup generator for tests and demos
 
+flex, sweep and retrofit-compare share one path: each builds a list of
+(output subdirectory, scenario) jobs, every sweep value parsed and checked
+before anything runs, and scenario.run_sweep evaluates the list while each
+run is exported as soon as it is done.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 data validation
 error, 3 runtime error.
 """
@@ -14,6 +19,7 @@ error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -38,6 +44,21 @@ _LEVELS = {
     "la": aggregate.Level.LOCAL_AUTHORITY,
     "region": aggregate.Level.REGION,
     "national": aggregate.Level.NATIONAL,
+}
+
+
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError("temperatures must be finite")
+    return value
+
+
+# sweep axis -> (base spec, value token) -> the spec for that value
+_SWEEP_AXES = {
+    "capacity": lambda spec, t: replace(spec, capacity_level=CapacityLevel.parse(t)),
+    "outdoor": lambda spec, t: replace(spec, outdoor_temp=_finite(t)),
+    "indoor": lambda spec, t: replace(spec, indoor_model=FixedIndoor(_finite(t))),
 }
 
 
@@ -101,7 +122,8 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--expansion", type=int, default=scenario.DEFAULT_EXPANSION,
                    help="sub-samples per record under a stochastic indoor model")
-    p.add_argument("--workers", type=int, default=1, help="parallel evaluation workers")
+    # accepted so that existing scripts keep working; evaluation is single-threaded
+    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep a scenario along one axis")
     _add_input_args(p_sweep)
     _add_run_args(p_sweep)
-    p_sweep.add_argument("--axis", required=True, choices=["capacity", "outdoor", "indoor"])
+    p_sweep.add_argument("--axis", required=True, choices=list(_SWEEP_AXES))
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values, e.g. 'medium,medium+10'")
 
@@ -180,77 +202,51 @@ def _cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def _run_and_export(run, spec_level, fmt, out_dir, regions, timer) -> None:
-    with timer.stage("aggregate") as st:
-        report = aggregate.rollup(run.outcomes, regions, spec_level)
-        st.done(f"{len(report.groups)} group(s)")
-    aggregate.export_report(report, fmt, out_dir)
-    if run.errors:
-        print(f"[heatflex] {len(run.errors)} sample(s) failed; first: "
-              f"{run.errors[0][1]}", file=sys.stderr)
+def _run_jobs(args, jobs: list[tuple[str, scenario.ScenarioSpec]]) -> int:
+    """Run each (subdir, spec) job in order and export it under --out/subdir as it arrives."""
+    timer = _Timer(args.verbose)
+    records, regions = _load_inputs(args, timer)
+    level, fmt = _LEVELS[args.level], aggregate.ExportFormat(args.format)
+    runs = scenario.run_sweep(records, regions, [spec for _, spec in jobs],
+                              _DIRECTIONS[args.direction], args.expansion)
+    for subdir, _ in jobs:
+        with timer.stage(f"evaluate {subdir}".rstrip()) as st:
+            run = next(runs)
+            st.done(f"{len(run.outcomes)} outcomes")
+        with timer.stage("aggregate") as st:
+            report = aggregate.rollup(run.outcomes, regions, level)
+            st.done(f"{len(report.groups)} group(s)")
+        aggregate.export_report(report, fmt, Path(args.out) / subdir)
+        if run.errors:
+            print(f"[heatflex] {len(run.errors)} sample(s) failed; first: "
+                  f"{run.errors[0][1]}", file=sys.stderr)
+        del run, report  # free this run before the next one is evaluated
+    return EXIT_OK
 
 
 def _cmd_flex(args) -> int:
-    timer = _Timer(args.verbose)
-    records, regions = _load_inputs(args, timer)
-    spec = config.read_scenario(args.scenario)
-    direction = _DIRECTIONS[args.direction]
-    with timer.stage("evaluate") as st:
-        run = scenario.run_stock_scenario(
-            records, regions, spec, direction,
-            expansion=args.expansion, workers=args.workers,
-        )
-        st.done(f"{len(run.outcomes)} outcomes")
-    _run_and_export(run, _LEVELS[args.level], aggregate.ExportFormat(args.format),
-                    args.out, regions, timer)
-    return EXIT_OK
-
-
-def _sweep_specs(spec, axis: str, tokens: list[str]):
-    # Returns (subdir name, adjusted spec) per axis value.
-    for token in tokens:
-        token = token.strip()
-        if axis == "capacity":
-            yield f"capacity={token}", replace(spec, capacity_level=CapacityLevel.parse(token))
-        elif axis == "outdoor":
-            yield f"outdoor={token}", replace(spec, outdoor_temp=float(token))
-        else:
-            yield f"indoor={token}", replace(spec, indoor_model=FixedIndoor(float(token)))
+    return _run_jobs(args, [("", config.read_scenario(args.scenario))])
 
 
 def _cmd_sweep(args) -> int:
-    timer = _Timer(args.verbose)
-    records, regions = _load_inputs(args, timer)
-    base_spec = config.read_scenario(args.scenario)
-    direction = _DIRECTIONS[args.direction]
-    tokens = [t for t in args.values.split(",") if t.strip()]
+    spec = config.read_scenario(args.scenario)
+    tokens = [t.strip() for t in args.values.split(",") if t.strip()]
     if not tokens:
         raise ConfigError("--values is empty")
-    for name, spec in _sweep_specs(base_spec, args.axis, tokens):
-        with timer.stage(f"evaluate {name}") as st:
-            run = scenario.run_stock_scenario(
-                records, regions, spec, direction,
-                expansion=args.expansion, workers=args.workers,
-            )
-            st.done(f"{len(run.outcomes)} outcomes")
-        _run_and_export(run, _LEVELS[args.level], aggregate.ExportFormat(args.format),
-                        Path(args.out) / name, regions, timer)
-    return EXIT_OK
+    jobs = []
+    for token in tokens:  # every value is checked before the first run writes anything
+        try:
+            jobs.append((f"{args.axis}={token}", _SWEEP_AXES[args.axis](spec, token)))
+        except ValueError as exc:
+            raise ConfigError(f"bad --values entry {token!r} for --axis {args.axis}: "
+                              f"{exc}") from None
+    return _run_jobs(args, jobs)
 
 
 def _cmd_retrofit(args) -> int:
-    timer = _Timer(args.verbose)
-    records, regions = _load_inputs(args, timer)
     spec = config.read_scenario(args.scenario)
-    direction = _DIRECTIONS[args.direction]
-    with timer.stage("evaluate before/after") as st:
-        runs = scenario.retrofit_comparison(records, regions, spec, direction,
-                                            expansion=args.expansion)
-        st.done(f"{sum(len(r.outcomes) for r in runs.values())} outcomes")
-    for variant, run in runs.items():
-        _run_and_export(run, _LEVELS[args.level], aggregate.ExportFormat(args.format),
-                        Path(args.out) / variant.value, regions, timer)
-    return EXIT_OK
+    return _run_jobs(args, [(v.value, replace(spec, stock_variant=v))
+                            for v in (StockVariant.BEFORE_EE, StockVariant.AFTER_EE)])
 
 
 def _cmd_synth(args) -> int:

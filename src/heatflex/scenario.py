@@ -3,7 +3,10 @@
 A scenario fixes the outdoor temperature, the indoor temperature model
 (a single shared value or a truncated normal draw per dwelling), the stock
 variant, the thermal capacity level and the heat pump uptake fraction, then
-drives the RC core across every dwelling record.
+drives the RC core across every dwelling record. `run_sweep` is the one run
+engine: it evaluates a list of scenarios in order (a capacity, outdoor or
+indoor sweep, a before/after retrofit pair, or a single scenario) and
+derives parameters and draws samples only when a scenario changes them.
 
 Randomness is reproducible and order-independent: each stock record owns a
 counter-based Philox stream keyed by a stable hash of its (LSOA, category)
@@ -15,10 +18,8 @@ temperatures any record receives.
 from __future__ import annotations
 
 import hashlib
-import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -203,45 +204,57 @@ def _evaluate_sample(
 
 
 def run_scenario(
-    samples: Sequence[DwellingSample],
-    spec: ScenarioSpec,
-    direction: Direction,
-    workers: int = 1,
+    samples: Sequence[DwellingSample], spec: ScenarioSpec, direction: Direction
 ) -> ScenarioRun:
     """Evaluate every sample at the scenario's outdoor temperature.
 
-    Output order equals input order regardless of worker count; a failing
-    sample is collected into the error report instead of aborting the run.
+    Outcomes and errors keep input order; a failing sample is collected into
+    the error report instead of aborting the run. Samples are independent, so
+    running the parts of any partition and concatenating gives the same run.
     """
-    results: list[FlexOutcome | None] = [None] * len(samples)
-    errors: list[tuple[DwellingSample, str]] = []
-
-    def eval_range(lo: int, hi: int) -> list[tuple[int, str]]:
-        errs: list[tuple[int, str]] = []
-        for i in range(lo, hi):
-            try:
-                results[i] = _evaluate_sample(samples[i], spec, direction)
-            except Exception as exc:  # noqa: BLE001 - reported per sample
-                errs.append((i, str(exc)))
-        return errs
-
-    if workers <= 1 or len(samples) < 2:
-        raw_errors = eval_range(0, len(samples))
-    else:
-        chunk = math.ceil(len(samples) / workers)
-        spans = [(lo, min(lo + chunk, len(samples))) for lo in range(0, len(samples), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw_errors = [
-                e for errs in pool.map(lambda s: eval_range(*s), spans) for e in errs
-            ]
-
     outcomes: list[tuple[DwellingSample, FlexOutcome]] = []
-    for i, outcome in enumerate(results):
-        if outcome is not None:
-            outcomes.append((samples[i], outcome))
-    for i, message in sorted(raw_errors):
-        errors.append((samples[i], message))
+    errors: list[tuple[DwellingSample, str]] = []
+    for sample in samples:
+        try:
+            outcomes.append((sample, _evaluate_sample(sample, spec, direction)))
+        except Exception as exc:  # noqa: BLE001 - reported per sample
+            errors.append((sample, str(exc)))
     return ScenarioRun(outcomes=outcomes, errors=errors)
+
+
+def run_sweep(
+    records: Sequence[DwellingRecord],
+    regions: RegionTable,
+    specs: Sequence[ScenarioSpec],
+    direction: Direction,
+    expansion: int = DEFAULT_EXPANSION,
+) -> Iterator[ScenarioRun]:
+    """Yield one run per spec, in order, reusing what consecutive specs share.
+
+    Parameters depend only on (capacity_level, stock_variant), and samples
+    only on the parameters and (indoor_model, uptake_fraction), so each is
+    rebuilt only when those differ from the previous spec: an outdoor sweep
+    derives and draws once. Draws are keyed by record identity and seed, so
+    reuse never changes a run. Parameters and samples are released before
+    the last run is yielded, so the caller exports it without them.
+    """
+    if not specs:
+        raise ConfigError("a sweep needs at least one scenario")
+    params = samples = params_key = samples_key = None
+    for i, spec in enumerate(specs):
+        key = (spec.capacity_level, spec.stock_variant)
+        if key != params_key:
+            params = samples = None  # free the old ones before building new ones
+            params, params_key = derive_all(records, regions, *key), key
+        draw_key = (params_key, spec.indoor_model, spec.uptake_fraction)
+        if draw_key != samples_key:
+            samples = None
+            samples, samples_key = build_samples(records, params, spec, expansion), draw_key
+        run = run_scenario(samples, spec, direction)
+        if i == len(specs) - 1:
+            params = samples = None
+        yield run
+        run = None  # the caller owns it now; do not keep it through the next spec
 
 
 def run_stock_scenario(
@@ -250,49 +263,6 @@ def run_stock_scenario(
     spec: ScenarioSpec,
     direction: Direction,
     expansion: int = DEFAULT_EXPANSION,
-    workers: int = 1,
 ) -> ScenarioRun:
-    """Derive parameters, build samples and run in one step."""
-    params = derive_all(records, regions, spec.capacity_level, spec.stock_variant)
-    samples = build_samples(records, params, spec, expansion)
-    return run_scenario(samples, spec, direction, workers=workers)
-
-
-def retrofit_comparison(
-    records: Sequence[DwellingRecord],
-    regions: RegionTable,
-    spec: ScenarioSpec,
-    direction: Direction,
-    expansion: int = DEFAULT_EXPANSION,
-) -> dict[StockVariant, ScenarioRun]:
-    """Run the identical scenario on the stock before and after retrofit.
-
-    Heat pump sizes are recomputed for the reduced heat losses; indoor
-    temperature draws match across the two runs because the streams are
-    keyed by record identity and seed only.
-    """
-    out: dict[StockVariant, ScenarioRun] = {}
-    for variant in (StockVariant.BEFORE_EE, StockVariant.AFTER_EE):
-        variant_spec = replace(spec, stock_variant=variant)
-        out[variant] = run_stock_scenario(
-            records, regions, variant_spec, direction, expansion
-        )
-    return out
-
-
-def capacity_sweep(
-    records: Sequence[DwellingRecord],
-    regions: RegionTable,
-    spec: ScenarioSpec,
-    levels: Sequence[CapacityLevel],
-    direction: Direction,
-    expansion: int = DEFAULT_EXPANSION,
-) -> dict[CapacityLevel, ScenarioRun]:
-    """One run per capacity level, identical in every other respect."""
-    if not levels:
-        raise ConfigError("capacity sweep needs at least one level")
-    out: dict[CapacityLevel, ScenarioRun] = {}
-    for level in levels:
-        level_spec = replace(spec, capacity_level=level)
-        out[level] = run_stock_scenario(records, regions, level_spec, direction, expansion)
-    return out
+    """Derive parameters, build samples and run one scenario: a one-spec sweep."""
+    return next(run_sweep(records, regions, [spec], direction, expansion))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,15 +26,14 @@ from heatflex import (
     TruncatedNormalIndoor,
     build_envelope,
     build_samples,
-    capacity_sweep,
     capped_energy,
     derive_all,
     finite_energy,
     load_region_table,
-    retrofit_comparison,
     rollup,
     run_scenario,
     run_stock_scenario,
+    run_sweep,
     sample_indoor_temps,
     service_duration,
     service_duration_discrete,
@@ -244,7 +244,8 @@ def test_criterion_08_capacity_sweep_linearity():
                                    (10.0, Direction.POSITIVE)]:
             spec = ScenarioSpec(outdoor_temp=outdoor,
                                 indoor_model=TruncatedNormalIndoor(seed=88))
-            runs = capacity_sweep(records, table, spec, levels, direction, expansion=4)
+            specs = [replace(spec, capacity_level=level) for level in levels]
+            runs = dict(zip(levels, run_sweep(records, table, specs, direction, expansion=4)))
             medium = runs[CapacityLevel.MEDIUM].outcomes
             energies = {}
             for level, ratio in [(CapacityLevel.MEDIUM_PLUS_10, 1.1),
@@ -285,9 +286,10 @@ def test_criterion_09_retrofit_direction():
         table = make_region_table({l: (r, la) for l, r, la in lookup})
         spec = ScenarioSpec(outdoor_temp=0.0,
                             indoor_model=TruncatedNormalIndoor(seed=99))
-        runs = retrofit_comparison(records, table, spec, Direction.NEGATIVE, expansion=4)
-        before = runs[StockVariant.BEFORE_EE].outcomes
-        after = runs[StockVariant.AFTER_EE].outcomes
+        specs = [replace(spec, stock_variant=v)
+                 for v in (StockVariant.BEFORE_EE, StockVariant.AFTER_EE)]
+        before, after = (r.outcomes for r in
+                         run_sweep(records, table, specs, Direction.NEGATIVE, expansion=4))
         assert len(before) == len(after) > 0
         for (sb, ob), (sa, oa) in zip(before, after):
             assert sa.indoor_temp == sb.indoor_temp
@@ -373,7 +375,7 @@ def test_criterion_11_cornwall_fixture():
 
 
 def test_criterion_12_determinism_and_parallel(tmp_path, small_stock):
-    with criterion("12 same seed exports byte-identical; parallel equals serial"):
+    with criterion("12 same seed exports byte-identical; any partition equals the whole"):
         records, lookup = generate_stock(3000, seed=12, lsoa_count=30)
         write_stock(records, tmp_path / "stock.csv")
         write_lookup(lookup, tmp_path / "lookup.csv")
@@ -402,6 +404,14 @@ def test_criterion_12_determinism_and_parallel(tmp_path, small_stock):
                             indoor_model=TruncatedNormalIndoor(seed=3))
         params = derive_all(stock_records, table, spec.capacity_level, spec.stock_variant)
         samples = build_samples(stock_records, params, spec)
-        serial = run_scenario(samples, spec, Direction.NEGATIVE, workers=1)
-        parallel = run_scenario(samples, spec, Direction.NEGATIVE, workers=4)
-        assert serial.outcomes == parallel.outcomes
+        # samples are independent, so the parts of a partition can be
+        # evaluated apart (in any order, or in parallel) and concatenated
+        whole = run_scenario(samples, spec, Direction.NEGATIVE)
+        n = len(samples)
+        for split in (0, 1, n // 3, n):
+            head = run_scenario(samples[:split], spec, Direction.NEGATIVE)
+            tail = run_scenario(samples[split:], spec, Direction.NEGATIVE)
+            assert head.outcomes + tail.outcomes == whole.outcomes
+            assert head.errors + tail.errors == whole.errors
+            assert build_envelope(head.outcomes + tail.outcomes) == \
+                build_envelope(whole.outcomes)

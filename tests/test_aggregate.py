@@ -1,5 +1,8 @@
 """Envelopes, energy totals, spatial rollups and deterministic exports."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,22 @@ def test_envelope_monotone_and_partition_additive():
         assert sum(p.power_at(t) for p in parts) == pytest.approx(
             whole.power_at(t), rel=1e-9
         )
+
+    def scanned_power_at(t):
+        # linear scan: power of the first breakpoint at or beyond t
+        if t <= 0:
+            return whole.total_power
+        for d, p in whole.breakpoints:
+            if d >= t:
+                return p
+        return whole.unbounded_power
+
+    durations = whole.durations
+    on = list(durations)
+    between = [(a + b) / 2 for a, b in zip(durations, durations[1:])]
+    past = [durations[-1] + 1.0, durations[-1] * 10, float("inf")]
+    for t in [-1.0, 0.0, durations[0] / 2, *on, *between, *past]:
+        assert whole.power_at(t) == scanned_power_at(t)
 
 
 def test_finite_energy_arithmetic():
@@ -205,6 +224,33 @@ def test_export_round_trip_both_formats(tmp_path):
     assert load_report(tmp_path / "csv", ExportFormat.CSV) == report
 
     export_report(report, ExportFormat.JSON, tmp_path / "json")
+    assert load_report(tmp_path / "json", ExportFormat.JSON) == report
+
+
+def test_total_unbounded_power_is_sum_of_groups(tmp_path, small_stock):
+    # a demand-increase run at 0 C leaves some heat pumps unable to reach
+    # the comfort ceiling: their groups carry unbounded power
+    records, table = small_stock
+    spec = ScenarioSpec(outdoor_temp=0.0, indoor_model=TruncatedNormalIndoor(seed=13))
+    run = run_stock_scenario(records, table, spec, Direction.POSITIVE, expansion=4)
+    report = rollup(run.outcomes, table, Level.REGION)
+    groups_w = sum(g.unbounded_power_w for g in report.groups.values())
+    assert sum(g.unbounded_power_w > 0 for g in report.groups.values()) >= 2
+    assert report.total_unbounded_w == pytest.approx(groups_w, rel=1e-12)
+
+    export_report(report, ExportFormat.CSV, tmp_path / "csv")
+    with open(tmp_path / "csv" / "summary.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    total = next(r for r in rows if r["key"] == "__total__")
+    assert float(total["unbounded_w"]) == report.total_unbounded_w
+    assert float(total["unbounded_w"]) == pytest.approx(
+        sum(float(r["unbounded_w"]) for r in rows if r["key"] != "__total__"), rel=1e-12
+    )
+    assert load_report(tmp_path / "csv", ExportFormat.CSV) == report
+
+    export_report(report, ExportFormat.JSON, tmp_path / "json")
+    doc = json.loads((tmp_path / "json" / "report.json").read_text(encoding="utf-8"))
+    assert doc["totals"]["unbounded_w"] == report.total_unbounded_w
     assert load_report(tmp_path / "json", ExportFormat.JSON) == report
 
 

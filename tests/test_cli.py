@@ -1,5 +1,9 @@
 """Command line flows and exit-code contract."""
 
+import importlib.util
+import shutil
+from pathlib import Path
+
 import pytest
 
 from heatflex.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
@@ -114,6 +118,49 @@ def test_sweep_outdoor_axis(workspace):
     ])
     assert code == EXIT_OK
     assert (workspace / "sweepout2" / "outdoor=0" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("capacity", "medium,bogus"),
+    ("outdoor", "0,abc"),
+    ("outdoor", "0,nan"),
+    ("indoor", "19,inf"),
+])
+def test_bad_sweep_value_exits_1_before_any_run(workspace, axis, values):
+    out = workspace / "badsweep"
+    code = main([
+        "sweep",
+        "--stock", str(workspace / "stock.csv"),
+        "--lookup", str(workspace / "stock_lookup.csv"),
+        "--scenario", str(workspace / "scenario.ini"),
+        "--direction", "neg",
+        "--axis", axis,
+        f"--values={values}",
+        "--out", str(out),
+    ])
+    assert code == EXIT_USAGE
+    assert not out.exists()
+
+
+def _load_benchmark_runner():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_argv_contract(tmp_path, monkeypatch):
+    # the benchmark runs these exact command lines (hidden --workers flag,
+    # '--values=-4,...'); they must keep working on a small stock
+    runner = _load_benchmark_runner()
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--dwellings", "2000", "--seed", "3", "--out", "stock.csv",
+                 "--lookup-out", "lookup.csv"]) == EXIT_OK
+    for workload in runner.WORKLOADS.values():
+        Path("scenario.ini").write_text(workload.scenario_ini(seed=1), encoding="utf-8")
+        assert main(workload.argv()) == EXIT_OK, workload.name
+        shutil.rmtree("out")
 
 
 def test_retrofit_compare_flow(workspace):

@@ -1,5 +1,7 @@
 """Scenario engine: sampling, determinism, sweeps and scaling laws."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,15 @@ from heatflex import (
     ScenarioSpec,
     StockVariant,
     TruncatedNormalIndoor,
+    build_envelope,
     build_samples,
-    capacity_sweep,
     derive_all,
-    retrofit_comparison,
     run_scenario,
     run_stock_scenario,
+    run_sweep,
     sample_indoor_temps,
 )
+from heatflex import scenario
 
 from conftest import make_record, make_region_table
 
@@ -128,14 +131,20 @@ def test_run_scenario_deterministic(small_stock):
 
 
 def test_parallel_equals_serial(small_stock):
+    # samples are independent: the parts of any partition, evaluated apart
+    # (and so in parallel) and concatenated, equal evaluating the whole
     records, table = small_stock
     spec = spec_at(-5.0, indoor_model=TruncatedNormalIndoor(seed=21))
     params = derive_all(records, table, spec.capacity_level, spec.stock_variant)
     samples = build_samples(records, params, spec)
-    serial = run_scenario(samples, spec, Direction.POSITIVE, workers=1)
-    parallel = run_scenario(samples, spec, Direction.POSITIVE, workers=4)
-    assert serial.outcomes == parallel.outcomes
-    assert serial.errors == parallel.errors
+    whole = run_scenario(samples, spec, Direction.POSITIVE)
+    n = len(samples)
+    for split in (0, 1, n // 3, n):
+        head = run_scenario(samples[:split], spec, Direction.POSITIVE)
+        tail = run_scenario(samples[split:], spec, Direction.POSITIVE)
+        assert head.outcomes + tail.outcomes == whole.outcomes
+        assert head.errors + tail.errors == whole.errors
+        assert build_envelope(head.outcomes + tail.outcomes) == build_envelope(whole.outcomes)
 
 
 def test_positive_magnitude_by_region_at_minus5():
@@ -207,12 +216,16 @@ def test_fixed_model_invariant_to_expansion(small_stock):
 # retrofit and capacity comparisons
 # ---------------------------------------------------------------------------
 
+def retrofit_runs(records, table, spec, direction, **kw):
+    variants = (StockVariant.BEFORE_EE, StockVariant.AFTER_EE)
+    specs = [replace(spec, stock_variant=v) for v in variants]
+    return list(run_sweep(records, table, specs, direction, **kw))
+
+
 def test_retrofit_directional_effects(small_stock):
     records, table = small_stock
     spec = spec_at(5.0)
-    runs = retrofit_comparison(records, table, spec, Direction.NEGATIVE)
-    before = runs[StockVariant.BEFORE_EE].outcomes
-    after = runs[StockVariant.AFTER_EE].outcomes
+    before, after = (r.outcomes for r in retrofit_runs(records, table, spec, Direction.NEGATIVE))
     assert len(before) == len(after)
     for (sb, ob), (sa, oa) in zip(before, after):
         assert (sb.lsoa_id, sb.category, sb.indoor_temp) == (sa.lsoa_id, sa.category, sa.indoor_temp)
@@ -224,18 +237,16 @@ def test_retrofit_directional_effects(small_stock):
 def test_retrofit_noop_when_demands_equal():
     record = make_record(before=9000.0, after=9000.0)
     table = make_region_table({"E01000001": ("Wales", "Cardiff")})
-    runs = retrofit_comparison([record], table, spec_at(5.0), Direction.NEGATIVE)
-    assert runs[StockVariant.BEFORE_EE].outcomes == runs[StockVariant.AFTER_EE].outcomes
+    before, after = retrofit_runs([record], table, spec_at(5.0), Direction.NEGATIVE)
+    assert before.outcomes == after.outcomes
 
 
 def test_capacity_sweep_scales_durations_only(small_stock):
     records, table = small_stock
     spec = spec_at(5.0, indoor_model=TruncatedNormalIndoor(seed=5))
-    runs = capacity_sweep(
-        records, table, spec,
-        [CapacityLevel.MEDIUM, CapacityLevel.MEDIUM_PLUS_10, CapacityLevel.MEDIUM_MINUS_10],
-        Direction.NEGATIVE,
-    )
+    levels = [CapacityLevel.MEDIUM, CapacityLevel.MEDIUM_PLUS_10, CapacityLevel.MEDIUM_MINUS_10]
+    specs = [replace(spec, capacity_level=level) for level in levels]
+    runs = dict(zip(levels, run_sweep(records, table, specs, Direction.NEGATIVE)))
     medium = runs[CapacityLevel.MEDIUM].outcomes
     for level, ratio in [(CapacityLevel.MEDIUM_PLUS_10, 1.1),
                          (CapacityLevel.MEDIUM_MINUS_10, 0.9)]:
@@ -255,15 +266,46 @@ def test_capacity_sweep_scales_durations_only(small_stock):
 def test_capacity_sweep_single_level_matches_plain_run(small_stock):
     records, table = small_stock
     spec = spec_at(5.0)
-    sweep = capacity_sweep(records, table, spec, [CapacityLevel.MEDIUM], Direction.NEGATIVE)
+    specs = [replace(spec, capacity_level=CapacityLevel.MEDIUM)]
+    [sweep] = run_sweep(records, table, specs, Direction.NEGATIVE)
     plain = run_stock_scenario(records, table, spec, Direction.NEGATIVE)
-    assert sweep[CapacityLevel.MEDIUM].outcomes == plain.outcomes
+    assert sweep.outcomes == plain.outcomes
 
 
 def test_capacity_sweep_needs_levels(small_stock):
     records, table = small_stock
     with pytest.raises(ConfigError):
-        capacity_sweep(records, table, spec_at(5.0), [], Direction.NEGATIVE)
+        list(run_sweep(records, table, [], Direction.NEGATIVE))
+
+
+def test_sweep_derives_and_draws_only_on_change(small_stock, monkeypatch):
+    records, table = small_stock
+    base = spec_at(0.0, indoor_model=TruncatedNormalIndoor(seed=4))
+    specs = [
+        base,
+        replace(base, outdoor_temp=5.0),  # reuses parameters and samples
+        replace(base, outdoor_temp=5.0, uptake_fraction=0.5),  # new samples
+        replace(base, capacity_level=CapacityLevel.MEDIUM_PLUS_10),  # new both
+        replace(base, capacity_level=CapacityLevel.MEDIUM_PLUS_10,
+                stock_variant=StockVariant.AFTER_EE),  # new both
+        replace(base, capacity_level=CapacityLevel.MEDIUM_PLUS_10,
+                stock_variant=StockVariant.AFTER_EE,
+                indoor_model=FixedIndoor(20.0)),  # new samples
+    ]
+    expected = [run_stock_scenario(records, table, s, Direction.NEGATIVE) for s in specs]
+    calls = {"derive": 0, "samples": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scenario, "derive_all", counted("derive", scenario.derive_all))
+    monkeypatch.setattr(scenario, "build_samples", counted("samples", scenario.build_samples))
+    runs = list(run_sweep(records, table, specs, Direction.NEGATIVE))
+    assert calls == {"derive": 3, "samples": 5}
+    assert [r.outcomes for r in runs] == [r.outcomes for r in expected]
 
 
 def test_aggregate_stable_across_seeds():
