@@ -1,9 +1,10 @@
 """Flexibility from the thermal mass of heat-pump-heated dwelling stocks.
 
 Pipeline: ingest a per-LSOA stock table, derive per-record thermal physics
-(heat loss, capacitance, heat pump size), run the 1R1C transient core over
-scenario definitions, and fold the per-dwelling outcomes into flexibility
-envelopes at LSOA, local authority, region or national level.
+(heat loss, capacitance, heat pump size), expand the records into a columnar
+sample table, run the 1R1C transient core over it as array expressions, and
+fold the outcome columns into flexibility envelopes at LSOA, local
+authority, region or national level.
 """
 
 from .aggregate import (
@@ -52,8 +53,8 @@ from .rc import (
 )
 from .regions import RegionInfo, RegionTable, default_regions_path, load_region_table
 from .scenario import (
-    DwellingSample,
     FixedIndoor,
+    SampleTable,
     ScenarioRun,
     ScenarioSpec,
     TruncatedNormalIndoor,
@@ -90,10 +91,10 @@ __all__ = [
     "AggregateReport", "CapacityLevel", "ComfortBand", "ConfigError", "CopCurve",
     "DanglingRegionError", "DataValidationError", "Direction", "DomainError",
     "DuplicateRecordError", "Duration", "DurationKind", "DwellingCategory",
-    "DwellingForm", "DwellingRecord", "DwellingSample", "Envelope", "ExportFormat",
+    "DwellingForm", "DwellingRecord", "Envelope", "ExportFormat",
     "FiniteEnergy", "FixedIndoor", "FlexOutcome", "GroupStats", "HeatflexError",
     "HeatingSystem", "Level", "MissingParamsError", "ParseError", "RcDwelling",
-    "RegionInfo", "RegionTable", "ScenarioRun", "ScenarioSpec", "SchemaError",
+    "RegionInfo", "RegionTable", "SampleTable", "ScenarioRun", "ScenarioSpec", "SchemaError",
     "StockVariant", "ThermalParams", "TruncatedNormalIndoor", "UnresolvedLsoaError",
     "build_envelope", "build_samples", "capped_energy", "cop_at",
     "default_regions_path", "derive_all", "evaluate", "export_plot_grid",

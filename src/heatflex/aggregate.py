@@ -1,4 +1,4 @@
-"""Fold per-dwelling outcomes into flexibility envelopes and spatial rollups.
+"""Fold outcome columns into flexibility envelopes and spatial rollups.
 
 The envelope of a fleet maps a service duration t to the total electrical
 power the fleet can sustain for at least t:
@@ -9,6 +9,11 @@ power the fleet can sustain for at least t:
 It is a non-increasing step function, exact over the distinct finite
 durations; unbounded samples set its floor. Envelope construction is a
 commutative fold, so partial envelopes built in parallel merge losslessly.
+
+Everything here works on the columns of a `ScenarioRun`. Sums run left to
+right in sample order (np.cumsum, not the pairwise np.sum), so each total is
+the same float a loop over the samples would give, and exports do not
+depend on how the sums are vectorised.
 """
 
 from __future__ import annotations
@@ -20,14 +25,13 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DataValidationError, HeatflexError
-from .rc import FlexOutcome
 from .regions import RegionTable
-from .scenario import DwellingSample
-
-Outcomes = Sequence[tuple[DwellingSample, FlexOutcome]]
+from .scenario import FAILED, FINITE, UNBOUNDED, ScenarioRun
 
 DISPLAY_CAP_S = 86400.0  # 24 h, export/plotting cap only, never used in totals
 
@@ -66,37 +70,35 @@ class Envelope:
         return tuple(d for d, _ in self.breakpoints)
 
 
-def _check_single_direction(outcomes: Outcomes) -> None:
-    has_pos = any(o.magnitude_electric > 0 for _, o in outcomes)
-    has_neg = any(o.magnitude_electric < 0 for _, o in outcomes)
-    if has_pos and has_neg:
+def _ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right sum, the float a Python loop gives (np.sum adds pairwise)."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _power(run: ScenarioRun) -> np.ndarray:
+    return run.samples.weight * np.abs(run.magnitude)
+
+
+def _check_single_direction(run: ScenarioRun) -> None:
+    if (run.magnitude > 0).any() and (run.magnitude < 0).any():
         raise ValueError("outcomes mix demand-increase and demand-reduction services")
 
 
-def build_envelope(outcomes: Outcomes) -> Envelope:
+def build_envelope(run: ScenarioRun) -> Envelope:
     """Exact step envelope of one direction's outcomes."""
-    _check_single_direction(outcomes)
-    mass_at: dict[float, float] = {}
-    unbounded = 0.0
-    for sample, outcome in outcomes:
-        power = sample.weight * abs(outcome.magnitude_electric)
-        if outcome.duration.is_unbounded:
-            unbounded += power
-        elif outcome.duration.is_finite:
-            d = outcome.duration.seconds
-            mass_at[d] = mass_at.get(d, 0.0) + power
-        # zero-duration samples carry magnitude 0 by contract; nothing to add
-
-    durations = sorted(mass_at)
-    breakpoints = []
-    running = unbounded
-    for d in reversed(durations):
-        running += mass_at[d]
-        breakpoints.append((d, running))
-    breakpoints.reverse()
+    _check_single_direction(run)
+    power = _power(run)
+    unbounded = _ordered_sum(power[run.kind == UNBOUNDED])
+    finite = run.kind == FINITE
+    durations, slot = np.unique(run.duration[finite], return_inverse=True)
+    mass = np.bincount(slot, weights=power[finite], minlength=len(durations))
+    # power at each duration: the floor plus the mass at it and at every
+    # longer duration, added from the longest duration down
+    running = np.cumsum(np.concatenate(([unbounded], mass[::-1])))[:0:-1]
+    breakpoints = tuple(zip(durations.tolist(), running.tolist()))
     total = breakpoints[0][1] if breakpoints else unbounded
     return Envelope(
-        breakpoints=tuple(breakpoints), total_power=total, unbounded_power=unbounded
+        breakpoints=breakpoints, total_power=total, unbounded_power=unbounded
     )
 
 
@@ -113,36 +115,27 @@ class FiniteEnergy:
     unbounded_power_w: float
 
 
-def finite_energy(outcomes: Outcomes) -> FiniteEnergy:
+def finite_energy(run: ScenarioRun) -> FiniteEnergy:
     """Sum of weight * |magnitude| * duration over finite samples, in Wh."""
-    _check_single_direction(outcomes)
-    energy = 0.0
-    unbounded_count = 0
-    unbounded_power = 0.0
-    for sample, outcome in outcomes:
-        power = sample.weight * abs(outcome.magnitude_electric)
-        if outcome.duration.is_finite:
-            energy += power * outcome.duration.seconds / 3600.0
-        elif outcome.duration.is_unbounded:
-            unbounded_count += 1
-            unbounded_power += power
-    return FiniteEnergy(energy, unbounded_count, unbounded_power)
+    _check_single_direction(run)
+    power = _power(run)
+    finite, unbounded = run.kind == FINITE, run.kind == UNBOUNDED
+    return FiniteEnergy(
+        energy_wh=_ordered_sum(power[finite] * run.duration[finite] / 3600.0),
+        unbounded_count=int(np.count_nonzero(unbounded)),
+        unbounded_power_w=_ordered_sum(power[unbounded]),
+    )
 
 
-def capped_energy(outcomes: Outcomes, cap_s: float = DISPLAY_CAP_S) -> float:
+def capped_energy(run: ScenarioRun, cap_s: float = DISPLAY_CAP_S) -> float:
     """Display-oriented energy with every duration capped at cap_s, in Wh.
 
     Counts unbounded samples at the cap. Only meaningful for plotting and
     informal comparisons; totals and reports use finite_energy.
     """
-    energy = 0.0
-    for sample, outcome in outcomes:
-        power = sample.weight * abs(outcome.magnitude_electric)
-        if outcome.duration.is_finite:
-            energy += power * min(outcome.duration.seconds, cap_s) / 3600.0
-        elif outcome.duration.is_unbounded:
-            energy += power * cap_s / 3600.0
-    return energy
+    counted = (run.kind == FINITE) | (run.kind == UNBOUNDED)
+    capped = np.minimum(run.duration[counted], cap_s)  # unbounded: inf -> cap_s
+    return _ordered_sum(_power(run)[counted] * capped / 3600.0)
 
 
 @dataclass(frozen=True)
@@ -172,43 +165,51 @@ class AggregateReport:
     excluded_power_w: float = 0.0
 
 
-def _group_key(sample: DwellingSample, regions: RegionTable, level: Level) -> str | None:
+def _lsoa_group_key(lsoa_id: str, regions: RegionTable, level: Level) -> str | None:
     if level is Level.NATIONAL:
         return "national"
     if level is Level.LSOA:
-        return sample.lsoa_id
+        return lsoa_id
     if level is Level.REGION:
-        return regions.region_of(sample.lsoa_id)
-    return regions.local_authority_of(sample.lsoa_id)
+        return regions.region_of(lsoa_id)
+    return regions.local_authority_of(lsoa_id)
 
 
-def rollup(outcomes: Outcomes, regions: RegionTable, level: Level) -> AggregateReport:
+def rollup(run: ScenarioRun, regions: RegionTable, level: Level) -> AggregateReport:
     """Group outcomes by the requested spatial level and summarise each group.
 
-    Samples whose LSOA cannot be resolved at the requested level are listed
-    and their power reported as excluded; the run continues without them.
+    Failed samples belong to no group. Samples whose LSOA cannot be resolved
+    at the requested level are listed and their power reported as excluded;
+    the run continues without them. The group key is looked up once per
+    distinct LSOA, and a stable sort keeps each group's samples in order.
     """
-    grouped: dict[str, list[tuple[DwellingSample, FlexOutcome]]] = {}
-    unresolved: set[str] = set()
-    excluded_power = 0.0
-    for sample, outcome in outcomes:
-        key = _group_key(sample, regions, level)
-        if key is None:
-            unresolved.add(sample.lsoa_id)
-            excluded_power += sample.weight * abs(outcome.magnitude_electric)
-            continue
-        grouped.setdefault(key, []).append((sample, outcome))
+    samples, kept = run.samples, run.kind != FAILED
+    key_of = {code: _lsoa_group_key(samples.lsoa_ids[code], regions, level)
+              for code in np.unique(samples.lsoa_code[kept]).tolist()}
+    keys = sorted({key for key in key_of.values() if key is not None})
+    index = {key: g for g, key in enumerate(keys)}
+    group_of_lsoa = np.full(len(samples.lsoa_ids), -1, dtype=np.intp)
+    for code, key in key_of.items():
+        if key is not None:
+            group_of_lsoa[code] = index[key]
+    group = group_of_lsoa[samples.lsoa_code]
+    unresolved = (group < 0) & kept
+    group[~kept] = -2
+
+    order = np.argsort(group, kind="stable")  # failed (-2), then unresolved (-1) rows first
+    bounds = np.searchsorted(group[order], np.arange(len(keys) + 1)).tolist()
+    ordered = run[order]
 
     groups: dict[str, GroupStats] = {}
     total_installed = 0.0
     total_magnitude = 0.0
     total_unbounded = 0.0
     total_energy = 0.0
-    for key in sorted(grouped):
-        bucket = grouped[key]
-        envelope = build_envelope(bucket)
-        installed = sum(s.weight * s.max_heat_output_w for s, _ in bucket)
-        energy = finite_energy(bucket).energy_wh
+    for key, lo, hi in zip(keys, bounds, bounds[1:]):
+        part = ordered[lo:hi]
+        envelope = build_envelope(part)
+        installed = _ordered_sum(part.samples.weight * (part.samples.hp_size * 1000.0))
+        energy = finite_energy(part).energy_wh
         groups[key] = GroupStats(
             envelope=envelope, installed_thermal_w=installed, finite_energy_wh=energy
         )
@@ -224,8 +225,9 @@ def rollup(outcomes: Outcomes, regions: RegionTable, level: Level) -> AggregateR
         total_magnitude_at_zero_w=total_magnitude,
         total_unbounded_w=total_unbounded,
         total_finite_energy_wh=total_energy,
-        unresolved_lsoas=tuple(sorted(unresolved)),
-        excluded_power_w=excluded_power,
+        unresolved_lsoas=tuple(sorted(samples.lsoa_ids[code]
+                                      for code, key in key_of.items() if key is None)),
+        excluded_power_w=_ordered_sum(_power(run)[unresolved]),
     )
 
 
@@ -297,6 +299,13 @@ def _export_csv(report: AggregateReport, out_dir: Path) -> list[Path]:
     return written
 
 
+# Stands in for each group's breakpoint list when json lays out the rest of
+# report.json; no group key can produce this text, since json escapes every
+# quote inside a string.
+_BREAKPOINTS_SLOT = '"breakpoints": "@"'
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _export_json(report: AggregateReport, path: Path) -> Path:
     doc = {
         "level": report.level.value,
@@ -306,7 +315,7 @@ def _export_json(report: AggregateReport, path: Path) -> Path:
                 "magnitude_at_0_w": g.magnitude_at_zero_w,
                 "unbounded_w": g.unbounded_power_w,
                 "finite_energy_wh": g.finite_energy_wh,
-                "breakpoints": [[d, p] for d, p in g.envelope.breakpoints],
+                "breakpoints": "@",
             }
             for key, g in report.groups.items()
         },
@@ -319,10 +328,31 @@ def _export_json(report: AggregateReport, path: Path) -> Path:
         "unresolved_lsoas": list(report.unresolved_lsoas),
         "excluded_power_w": report.excluded_power_w,
     }
+    # json's Python encoder lays out the small part; the breakpoint lists,
+    # most of the bytes, are written directly in the same layout
+    head, *tails = json.dumps(doc, sort_keys=True, indent=2).split(_BREAKPOINTS_SLOT)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write(head)
+        for key, tail in zip(sorted(report.groups), tails):
+            fh.write('"breakpoints": ')
+            fh.writelines(_json_pairs(report.groups[key].envelope.breakpoints, indent=6))
+            fh.write(tail)
         fh.write("\n")
     return path
+
+
+def _json_pairs(pairs: Iterable[tuple[float, float]], indent: int) -> Iterator[str]:
+    """A list of number pairs as json.dumps(..., indent=2) writes it at this indent."""
+    outer, pair, number = (" " * (indent + k) for k in (0, 2, 4))
+    first = "[\n" + pair + "[\n" + number
+    between = "\n" + pair + "],\n" + pair + "[\n" + number
+    comma = ",\n" + number
+    sep = first
+    for d, p in pairs:
+        d, p = repr(d), repr(p)
+        yield sep + _JSON_SPECIAL.get(d, d) + comma + _JSON_SPECIAL.get(p, p)
+        sep = between
+    yield "[]" if sep is first else "\n" + pair + "]\n" + outer + "]"
 
 
 def load_report(path_or_dir: str | Path, fmt: ExportFormat) -> AggregateReport:

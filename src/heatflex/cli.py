@@ -22,6 +22,7 @@ import argparse
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -212,16 +213,24 @@ def _run_jobs(args, jobs: list[tuple[str, scenario.ScenarioSpec]]) -> int:
     for subdir, _ in jobs:
         with timer.stage(f"evaluate {subdir}".rstrip()) as st:
             run = next(runs)
-            st.done(f"{len(run.outcomes)} outcomes")
+            st.done(f"{len(run) - len(run.errors)} outcomes")
         with timer.stage("aggregate") as st:
-            report = aggregate.rollup(run.outcomes, regions, level)
+            report = aggregate.rollup(run, regions, level)
             st.done(f"{len(report.groups)} group(s)")
         aggregate.export_report(report, fmt, Path(args.out) / subdir)
         if run.errors:
-            print(f"[heatflex] {len(run.errors)} sample(s) failed; first: "
-                  f"{run.errors[0][1]}", file=sys.stderr)
+            _report_failures(run.errors)
         del run, report  # free this run before the next one is evaluated
     return EXIT_OK
+
+
+def _report_failures(errors) -> None:
+    """One line with the failed count, then the count of each distinct reason."""
+    reasons = Counter(message for _, message in errors)
+    print(f"[heatflex] {len(errors)} sample(s) failed, "
+          f"{len(reasons)} distinct reason(s):", file=sys.stderr)
+    for message, count in reasons.most_common():
+        print(f"[heatflex]   {count} x {message}", file=sys.stderr)
 
 
 def _cmd_flex(args) -> int:

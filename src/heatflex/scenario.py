@@ -8,6 +8,12 @@ engine: it evaluates a list of scenarios in order (a capacity, outdoor or
 indoor sweep, a before/after retrofit pair, or a single scenario) and
 derives parameters and draws samples only when a scenario changes them.
 
+Samples and outcomes are columns, one numpy array per field: `build_samples`
+returns a `SampleTable` and `run_scenario` evaluates the whole table with
+masked array expressions into a `ScenarioRun`. The kernel does the float
+operations of `rc.evaluate` in the same order, so every row equals what the
+scalar functions in `rc`, kept as the reference, return for it.
+
 Randomness is reproducible and order-independent: each stock record owns a
 counter-based Philox stream keyed by a stable hash of its (LSOA, category)
 identity combined with the scenario seed, so reordering records, changing
@@ -18,17 +24,20 @@ temperatures any record receives.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ConfigError, MissingParamsError
-from .rc import ComfortBand, CopCurve, Direction, FlexOutcome, RcDwelling, evaluate
+from .errors import ConfigError, DomainError, MissingParamsError
+from .rc import (INDOOR_TEMP_MAX, INDOOR_TEMP_MIN, ComfortBand, CopCurve, Direction,
+                 RcDwelling, cop_at, evaluate)
 from .regions import RegionTable
 from .stock import DwellingCategory, DwellingRecord
-from .thermal import CapacityLevel, ParamsMap, StockVariant, ThermalParams, derive_all
+from .thermal import CapacityLevel, ParamsMap, StockVariant, derive_all
 
 DEFAULT_EXPANSION = 10  # sub-samples per record under a stochastic indoor model
 
@@ -66,6 +75,21 @@ class TruncatedNormalIndoor:
 IndoorTempModel = FixedIndoor | TruncatedNormalIndoor
 
 
+def _uniforms(model: TruncatedNormalIndoor, n: int, stream_key: int) -> np.ndarray:
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence([model.seed, stream_key]))
+    )
+    return rng.random(n)
+
+
+def _truncated_normal(model: TruncatedNormalIndoor, u: np.ndarray) -> np.ndarray:
+    """Map uniforms of any shape through the truncated normal quantile function."""
+    a = (model.low - model.mean) / model.sd
+    b = (model.high - model.mean) / model.sd
+    fa, fb = ndtr(a), ndtr(b)
+    return model.mean + model.sd * ndtri(fa + u * (fb - fa))
+
+
 def sample_indoor_temps(
     model: IndoorTempModel, n: int, stream_key: int = 0
 ) -> np.ndarray:
@@ -74,14 +98,7 @@ def sample_indoor_temps(
         raise ConfigError(f"sample count must be >= 0, got {n}")
     if isinstance(model, FixedIndoor):
         return np.full(n, model.temp, dtype=float)
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([model.seed, stream_key]))
-    )
-    a = (model.low - model.mean) / model.sd
-    b = (model.high - model.mean) / model.sd
-    fa, fb = ndtr(a), ndtr(b)
-    u = rng.random(n)
-    return model.mean + model.sd * ndtri(fa + u * (fb - fa))
+    return _truncated_normal(model, _uniforms(model, n, stream_key))
 
 
 def _record_stream_key(lsoa_id: str, category: DwellingCategory) -> int:
@@ -109,23 +126,32 @@ class ScenarioSpec:
             )
 
 
-@dataclass(frozen=True)
-class DwellingSample:
-    """One evaluation unit: a (possibly fractional) bundle of identical dwellings."""
+_SAMPLE_COLUMNS = ("lsoa_code", "weight", "indoor_temp", "heat_loss", "capacitance", "hp_size")
 
-    lsoa_id: str
-    category: DwellingCategory
-    weight: float  # dwellings represented: count * uptake (/ expansion)
-    indoor_temp: float
-    params: ThermalParams
 
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ConfigError(f"sample weight must be >= 0, got {self.weight}")
+@dataclass(frozen=True, eq=False)
+class SampleTable:
+    """Evaluation samples as parallel columns, one row per sample.
 
-    @property
-    def max_heat_output_w(self) -> float:
-        return self.params.hp_size_thermal * 1000.0
+    A sample is a (possibly fractional) bundle of identical dwellings.
+    lsoa_code indexes lsoa_ids, the distinct LSOAs in order of first
+    appearance; the thermal parameters keep the units of ThermalParams.
+    """
+
+    lsoa_ids: tuple[str, ...]
+    lsoa_code: np.ndarray  # int, index into lsoa_ids
+    weight: np.ndarray  # dwellings represented: count * uptake (/ expansion)
+    indoor_temp: np.ndarray  # C
+    heat_loss: np.ndarray  # kW/C
+    capacitance: np.ndarray  # kJ/K
+    hp_size: np.ndarray  # kW thermal
+
+    def __len__(self) -> int:
+        return len(self.weight)
+
+    def __getitem__(self, rows) -> "SampleTable":
+        """The rows a slice, index array or mask selects; lsoa_ids is kept whole."""
+        return SampleTable(self.lsoa_ids, *(getattr(self, c)[rows] for c in _SAMPLE_COLUMNS))
 
 
 def build_samples(
@@ -133,93 +159,143 @@ def build_samples(
     params_map: ParamsMap,
     spec: ScenarioSpec,
     expansion: int = DEFAULT_EXPANSION,
-) -> list[DwellingSample]:
+) -> SampleTable:
     """Expand stock records into weighted evaluation samples.
 
     Under a fixed indoor model one sample per record suffices, since every
     dwelling in a record is identical. Under the stochastic model each record
-    becomes `expansion` sub-samples of equal weight with independent
-    temperature draws from the record's own stream.
+    becomes `expansion` consecutive sub-samples of equal weight with
+    independent temperature draws from the record's own stream.
     """
     if expansion < 1:
         raise ConfigError(f"expansion factor must be >= 1, got {expansion}")
-    samples: list[DwellingSample] = []
-    for record in records:
-        if record.skippable:
-            continue
-        key = (record.lsoa_id, record.category)
-        params = params_map.get(key)
-        if params is None:
+    live = [r for r in records if not r.skippable]
+    params = []
+    for record in live:
+        p = params_map.get((record.lsoa_id, record.category))
+        if p is None:
             raise MissingParamsError(
                 f"no derived parameters for ({record.lsoa_id}, {record.category.label()})"
             )
-        weight = record.count * spec.uptake_fraction
-        if isinstance(spec.indoor_model, FixedIndoor):
-            samples.append(
-                DwellingSample(
-                    lsoa_id=record.lsoa_id,
-                    category=record.category,
-                    weight=weight,
-                    indoor_temp=spec.indoor_model.temp,
-                    params=params,
-                )
-            )
-        else:
-            stream = _record_stream_key(record.lsoa_id, record.category)
-            temps = sample_indoor_temps(spec.indoor_model, expansion, stream_key=stream)
-            sub_weight = weight / expansion
-            for temp in temps:
-                samples.append(
-                    DwellingSample(
-                        lsoa_id=record.lsoa_id,
-                        category=record.category,
-                        weight=sub_weight,
-                        indoor_temp=float(temp),
-                        params=params,
-                    )
-                )
-    return samples
+        params.append(p)
+    codes: dict[str, int] = {}
+    columns = [
+        np.array([codes.setdefault(r.lsoa_id, len(codes)) for r in live], dtype=np.intp),
+        np.array([r.count for r in live], dtype=float) * spec.uptake_fraction,
+        np.array([p.heat_loss for p in params], dtype=float),
+        np.array([p.capacitance for p in params], dtype=float),
+        np.array([p.hp_size_thermal for p in params], dtype=float),
+    ]
+    model = spec.indoor_model
+    if isinstance(model, FixedIndoor):
+        indoor = np.full(len(live), model.temp, dtype=float)
+    else:
+        u = np.empty((len(live), expansion))
+        for row, record in zip(u, live):
+            row[:] = _uniforms(model, expansion, _record_stream_key(record.lsoa_id, record.category))
+        indoor = _truncated_normal(model, u).ravel()
+        columns[1] = columns[1] / expansion
+        columns = [np.repeat(c, expansion) for c in columns]
+    code, weight, heat_loss, capacitance, hp_size = columns
+    return SampleTable(tuple(codes), code, weight, indoor, heat_loss, capacitance, hp_size)
 
 
-@dataclass
+ZERO, FINITE, UNBOUNDED, FAILED = range(4)  # codes of ScenarioRun.kind
+
+
+@dataclass(frozen=True, eq=False)
 class ScenarioRun:
-    """Outcome of one scenario/direction run over a sample list."""
+    """Outcome columns of one scenario/direction run, row for row with its samples.
 
-    outcomes: list[tuple[DwellingSample, FlexOutcome]]
-    errors: list[tuple[DwellingSample, str]]
+    magnitude is the signed electrical power in W (0 on zero and failed
+    rows); duration is in seconds on finite rows, 0 on zero rows, inf on
+    unbounded rows and nan on failed rows; kind holds a code per row.
+    """
 
+    samples: SampleTable
+    spec: ScenarioSpec
+    direction: Direction
+    magnitude: np.ndarray
+    duration: np.ndarray
+    kind: np.ndarray  # int8: ZERO, FINITE, UNBOUNDED or FAILED
 
-def _evaluate_sample(
-    sample: DwellingSample, spec: ScenarioSpec, direction: Direction
-) -> FlexOutcome:
-    dwelling = RcDwelling.from_params(sample.params)
-    return evaluate(
-        dwelling,
-        indoor=sample.indoor_temp,
-        outdoor=spec.outdoor_temp,
-        curve=spec.cop_curve,
-        band=spec.comfort_band,
-        direction=direction,
-    )
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, rows) -> "ScenarioRun":
+        """The rows a slice, index array or mask selects."""
+        return replace(self, samples=self.samples[rows], magnitude=self.magnitude[rows],
+                       duration=self.duration[rows], kind=self.kind[rows])
+
+    @cached_property
+    def errors(self) -> tuple[tuple[int, str], ...]:
+        """(row, rc's message) for every failed row, in row order."""
+        return tuple((i, _failure(self.samples, i, self.spec, self.direction))
+                     for i in np.flatnonzero(self.kind == FAILED).tolist())
 
 
 def run_scenario(
-    samples: Sequence[DwellingSample], spec: ScenarioSpec, direction: Direction
+    samples: SampleTable, spec: ScenarioSpec, direction: Direction
 ) -> ScenarioRun:
     """Evaluate every sample at the scenario's outdoor temperature.
 
-    Outcomes and errors keep input order; a failing sample is collected into
-    the error report instead of aborting the run. Samples are independent, so
-    running the parts of any partition and concatenating gives the same run.
+    Each row gets what rc.evaluate returns for its dwelling: the array
+    expressions below repeat its float operations in its order, and
+    durations take math.log per row because np.log can differ in the last
+    place. A row rc would reject (a non-positive R, C or heat pump size, an
+    indoor temperature outside [INDOOR_TEMP_MIN, INDOOR_TEMP_MAX] or nan)
+    is marked FAILED with rc's message instead of aborting the run. Rows
+    are independent, so running the parts of any partition and
+    concatenating gives the same run.
     """
-    outcomes: list[tuple[DwellingSample, FlexOutcome]] = []
-    errors: list[tuple[DwellingSample, str]] = []
-    for sample in samples:
-        try:
-            outcomes.append((sample, _evaluate_sample(sample, spec, direction)))
-        except Exception as exc:  # noqa: BLE001 - reported per sample
-            errors.append((sample, str(exc)))
-    return ScenarioRun(outcomes=outcomes, errors=errors)
+    band, outdoor = spec.comfort_band, spec.outdoor_temp
+    indoor = samples.indoor_temp
+    with np.errstate(all="ignore"):  # failed rows may hold nan or inf
+        # RcDwelling.from_params: kW/C -> C/W, kJ/K -> J/K, kW -> W
+        r = 1.0 / (samples.heat_loss * 1000.0)
+        c = samples.capacitance * 1000.0
+        p_max = samples.hp_size * 1000.0
+        failed = (r <= 0) | (c <= 0) | (p_max <= 0)
+        failed |= ~((INDOOR_TEMP_MIN <= indoor) & (indoor <= INDOOR_TEMP_MAX))
+        if direction is Direction.POSITIVE:
+            limit = band.high
+            t_ss = outdoor + p_max * r
+            zero, unbounded = indoor >= limit, t_ss <= limit
+        else:
+            limit = band.low
+            t_ss = outdoor + 0.0 * r
+            zero, unbounded = indoor <= limit, t_ss >= limit
+        kind = np.where(zero, ZERO, np.where(unbounded, UNBOUNDED, FINITE)).astype(np.int8)
+        kind[failed] = FAILED
+        finite = kind == FINITE
+
+        duration = np.where(kind == UNBOUNDED, np.inf, 0.0)
+        duration[failed] = np.nan
+        ratio = (indoor[finite] - t_ss[finite]) / (limit - t_ss[finite])
+        logs = np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
+        duration[finite] = (r[finite] * c[finite]) * logs
+
+        iq = np.minimum(np.maximum((indoor - outdoor) / r, 0.0), p_max)  # clamped output
+        cop = cop_at(spec.cop_curve, outdoor)
+        magnitude = (p_max - iq) / cop if direction is Direction.POSITIVE else -iq / cop
+        magnitude[(kind == ZERO) | failed] = 0.0
+
+    return ScenarioRun(samples, spec, direction, magnitude, duration, kind)
+
+
+def _failure(samples: SampleTable, i: int, spec: ScenarioSpec, direction: Direction) -> str:
+    """rc's message for a row the kernel marked failed."""
+    try:
+        dwelling = RcDwelling(
+            resistance=1.0 / (float(samples.heat_loss[i]) * 1000.0),
+            capacitance=float(samples.capacitance[i]) * 1000.0,
+            hp_max_thermal=float(samples.hp_size[i]) * 1000.0,
+        )
+        evaluate(dwelling, float(samples.indoor_temp[i]), spec.outdoor_temp,
+                 spec.cop_curve, spec.comfort_band, direction)
+    except DomainError as exc:
+        return str(exc)
+    raise AssertionError(f"sample {i} failed in run_scenario but not in rc.evaluate")
 
 
 def run_sweep(
@@ -235,8 +311,8 @@ def run_sweep(
     only on the parameters and (indoor_model, uptake_fraction), so each is
     rebuilt only when those differ from the previous spec: an outdoor sweep
     derives and draws once. Draws are keyed by record identity and seed, so
-    reuse never changes a run. Parameters and samples are released before
-    the last run is yielded, so the caller exports it without them.
+    reuse never changes a run. The parameters are released before the last
+    run is yielded; its samples stay with the run the caller holds.
     """
     if not specs:
         raise ConfigError("a sweep needs at least one scenario")

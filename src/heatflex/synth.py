@@ -53,7 +53,9 @@ def generate_stock(
 
     lookup_rows are (lsoa_id, region, local_authority) tuples cycling the
     LSOAs through the supplied region names (the packaged regions by
-    default). Only non-empty (count > 0) cells are emitted.
+    default); each local authority holds LSOAS_PER_LOCAL_AUTHORITY
+    consecutive LSOAs of one region. Only non-empty (count > 0) cells are
+    emitted.
     """
     if n_dwellings < 0:
         raise ValueError(f"dwelling count must be >= 0, got {n_dwellings}")
@@ -74,7 +76,7 @@ def generate_stock(
     lookup: list[tuple[str, str, str]] = []
     for i, lsoa in enumerate(lsoa_ids):
         region = region_names[i % len(region_names)]
-        la_index = i // LSOAS_PER_LOCAL_AUTHORITY
+        la_index = (i // len(region_names)) // LSOAS_PER_LOCAL_AUTHORITY
         lookup.append((lsoa, region, f"{region} LA {la_index:03d}"))
 
     per_lsoa = rng.multinomial(n_dwellings, np.full(lsoa_count, 1.0 / lsoa_count))

@@ -44,7 +44,13 @@ from heatflex.cli import EXIT_OK, main
 from heatflex.stock import write_stock
 from heatflex.synth import generate_stock, write_lookup
 
-from conftest import euler_time_to_limit, make_region_table
+from conftest import (
+    concat_runs,
+    euler_time_to_limit,
+    make_region_table,
+    pairs_of,
+    runs_equal,
+)
 
 BAND = ComfortBand()
 
@@ -163,7 +169,7 @@ def test_criterion_05_clamp_consistency(small_stock):
         records, table = small_stock
         spec = ScenarioSpec(outdoor_temp=-5.0, indoor_model=FixedIndoor(19.0))
         run = run_stock_scenario(records, table, spec, Direction.NEGATIVE)
-        report = rollup(run.outcomes, table, Level.NATIONAL)
+        report = rollup(run, table, Level.NATIONAL)
 
         cop = 2.0  # table value at -5 C
         factors = {
@@ -189,7 +195,7 @@ def test_criterion_05_clamp_consistency(small_stock):
         assert report.total_magnitude_at_zero_w == pytest.approx(expected_total, rel=1e-9)
 
         # per-region ratio equals the regional factor exactly
-        by_region = rollup(run.outcomes, table, Level.REGION)
+        by_region = rollup(run, table, Level.REGION)
         for name, group in by_region.groups.items():
             ratio = group.magnitude_at_zero_w / (group.installed_thermal_w / cop)
             assert ratio == pytest.approx(factors[name], rel=1e-9)
@@ -246,11 +252,11 @@ def test_criterion_08_capacity_sweep_linearity():
                                 indoor_model=TruncatedNormalIndoor(seed=88))
             specs = [replace(spec, capacity_level=level) for level in levels]
             runs = dict(zip(levels, run_sweep(records, table, specs, direction, expansion=4)))
-            medium = runs[CapacityLevel.MEDIUM].outcomes
+            medium = pairs_of(runs[CapacityLevel.MEDIUM])
             energies = {}
             for level, ratio in [(CapacityLevel.MEDIUM_PLUS_10, 1.1),
                                  (CapacityLevel.MEDIUM_MINUS_10, 0.9)]:
-                other = runs[level].outcomes
+                other = pairs_of(runs[level])
                 for (sm, om), (so, oo) in zip(medium, other):
                     assert so.indoor_temp == sm.indoor_temp
                     assert oo.magnitude_electric == om.magnitude_electric
@@ -259,8 +265,8 @@ def test_criterion_08_capacity_sweep_linearity():
                         assert oo.duration.seconds == pytest.approx(
                             om.duration.seconds * ratio, rel=1e-9
                         )
-                energies[level] = finite_energy(other).energy_wh
-            base = finite_energy(medium).energy_wh
+                energies[level] = finite_energy(runs[level]).energy_wh
+            base = finite_energy(runs[CapacityLevel.MEDIUM]).energy_wh
             up = energies[CapacityLevel.MEDIUM_PLUS_10] / base
             down = energies[CapacityLevel.MEDIUM_MINUS_10] / base
             assert up == pytest.approx(1.100, abs=1e-9)
@@ -271,8 +277,8 @@ def test_criterion_08_capacity_sweep_linearity():
                 # energy shift lands below the exact 10% law; the uncapped
                 # shift is provably exactly 10% because the zero/finite/
                 # unbounded classification does not involve the capacitance
-                capped_up = (capped_energy(runs[CapacityLevel.MEDIUM_PLUS_10].outcomes)
-                             / capped_energy(medium))
+                capped_up = (capped_energy(runs[CapacityLevel.MEDIUM_PLUS_10])
+                             / capped_energy(runs[CapacityLevel.MEDIUM]))
                 kinds = [o.duration.kind.value for _, o in medium]
                 print(f"[acceptance] 08 info: positive at +10 C uncapped ratio "
                       f"{up:.4f}, 24h-capped ratio {capped_up:.4f}, mixture "
@@ -288,7 +294,7 @@ def test_criterion_09_retrofit_direction():
                             indoor_model=TruncatedNormalIndoor(seed=99))
         specs = [replace(spec, stock_variant=v)
                  for v in (StockVariant.BEFORE_EE, StockVariant.AFTER_EE)]
-        before, after = (r.outcomes for r in
+        before, after = (pairs_of(r) for r in
                          run_sweep(records, table, specs, Direction.NEGATIVE, expansion=4))
         assert len(before) == len(after) > 0
         for (sb, ob), (sa, oa) in zip(before, after):
@@ -306,25 +312,24 @@ def test_criterion_10_envelope_properties():
         spec = ScenarioSpec(outdoor_temp=0.0,
                             indoor_model=TruncatedNormalIndoor(seed=55))
         run = run_stock_scenario(records, table, spec, Direction.NEGATIVE, expansion=4)
-        outcomes = run.outcomes
-        assert len(outcomes) >= 10_000
+        assert len(pairs_of(run)) >= 10_000
 
-        whole = build_envelope(outcomes)
+        whole = build_envelope(run)
         powers = [p for _, p in whole.breakpoints]
         assert all(a >= b for a, b in zip(powers, powers[1:]))
         assert all(p >= whole.unbounded_power >= 0.0 for p in powers)
 
-        parts = [build_envelope(outcomes[i::4]) for i in range(4)]
+        parts = [build_envelope(run[i::4]) for i in range(4)]
         for t in [0.0, *whole.durations, whole.durations[-1] + 1.0]:
             assert sum(p.power_at(t) for p in parts) == pytest.approx(
                 whole.power_at(t), rel=1e-6
             )
 
-        national = rollup(outcomes, table, Level.NATIONAL)
+        national = rollup(run, table, Level.NATIONAL)
         nat_env = national.groups["national"].envelope
         checkpoints = [0.0, *nat_env.durations, nat_env.durations[-1] + 1.0]
         for level in (Level.REGION, Level.LOCAL_AUTHORITY, Level.LSOA):
-            report = rollup(outcomes, table, level)
+            report = rollup(run, table, level)
             assert report.total_magnitude_at_zero_w == pytest.approx(
                 national.total_magnitude_at_zero_w, rel=1e-6
             )
@@ -342,7 +347,7 @@ def _cornwall_negative_mw(records, table) -> float:
     params = derive_all(clean, table, spec.capacity_level, spec.stock_variant)
     samples = build_samples(clean, params, spec)
     run = run_scenario(samples, spec, Direction.NEGATIVE)
-    report = rollup(run.outcomes, table, Level.NATIONAL)
+    report = rollup(run, table, Level.NATIONAL)
     return report.total_magnitude_at_zero_w / 1e6
 
 
@@ -404,14 +409,15 @@ def test_criterion_12_determinism_and_parallel(tmp_path, small_stock):
                             indoor_model=TruncatedNormalIndoor(seed=3))
         params = derive_all(stock_records, table, spec.capacity_level, spec.stock_variant)
         samples = build_samples(stock_records, params, spec)
-        # samples are independent, so the parts of a partition can be
-        # evaluated apart (in any order, or in parallel) and concatenated
+        # samples are independent, so the parts of a partition of the
+        # sample table can be evaluated apart (in any order, or in parallel)
+        # and their columns concatenated
         whole = run_scenario(samples, spec, Direction.NEGATIVE)
         n = len(samples)
         for split in (0, 1, n // 3, n):
             head = run_scenario(samples[:split], spec, Direction.NEGATIVE)
             tail = run_scenario(samples[split:], spec, Direction.NEGATIVE)
-            assert head.outcomes + tail.outcomes == whole.outcomes
-            assert head.errors + tail.errors == whole.errors
-            assert build_envelope(head.outcomes + tail.outcomes) == \
-                build_envelope(whole.outcomes)
+            merged = concat_runs(head, tail)
+            assert runs_equal(merged, whole)  # outcomes and errors
+            assert head.errors + tuple((i + split, m) for i, m in tail.errors) == whole.errors
+            assert build_envelope(merged) == build_envelope(whole)

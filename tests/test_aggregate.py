@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from heatflex import (
+    AggregateReport,
     Direction,
     Duration,
+    Envelope,
     ExportFormat,
     FixedIndoor,
     FlexOutcome,
+    GroupStats,
     Level,
     ScenarioSpec,
     TruncatedNormalIndoor,
@@ -25,7 +28,7 @@ from heatflex import (
     run_stock_scenario,
 )
 
-from conftest import make_region_table, make_sample
+from conftest import make_region_table, make_run, make_sample
 
 
 def outcome(mag, duration):
@@ -37,7 +40,7 @@ def test_envelope_two_sample_example():
         (make_sample(weight=1.0), outcome(-100.0, Duration.finite(3600.0))),
         (make_sample(weight=1.0), outcome(-50.0, Duration.unbounded())),
     ]
-    env = build_envelope(outcomes)
+    env = build_envelope(make_run(outcomes))
     assert env.total_power == pytest.approx(150.0)
     assert env.unbounded_power == pytest.approx(50.0)
     assert env.breakpoints == ((3600.0, 150.0),)
@@ -50,7 +53,7 @@ def test_envelope_two_sample_example():
 
 def test_envelope_all_zero():
     outcomes = [(make_sample(weight=2.0), outcome(0.0, Duration.zero()))] * 3
-    env = build_envelope(outcomes)
+    env = build_envelope(make_run(outcomes))
     assert env.total_power == 0.0
     assert env.unbounded_power == 0.0
     assert env.breakpoints == ()
@@ -58,7 +61,8 @@ def test_envelope_all_zero():
 
 
 def test_envelope_single_rectangle():
-    env = build_envelope([(make_sample(weight=3.0), outcome(200.0, Duration.finite(60.0)))])
+    env = build_envelope(make_run([(make_sample(weight=3.0),
+                                   outcome(200.0, Duration.finite(60.0)))]))
     assert env.total_power == pytest.approx(600.0)
     assert env.power_at(60.0) == pytest.approx(600.0)
     assert env.power_at(60.01) == 0.0
@@ -70,7 +74,7 @@ def test_envelope_rejects_mixed_directions():
         (make_sample(), outcome(-100.0, Duration.finite(60.0))),
     ]
     with pytest.raises(ValueError, match="mix"):
-        build_envelope(outcomes)
+        build_envelope(make_run(outcomes))
 
 
 def test_envelope_monotone_and_partition_additive():
@@ -89,12 +93,12 @@ def test_envelope_monotone_and_partition_additive():
             d = Duration.finite(float(rng.uniform(60, 86400)))
         outcomes.append((make_sample(weight=w), outcome(mag, d)))
 
-    whole = build_envelope(outcomes)
+    whole = build_envelope(make_run(outcomes))
     powers = [p for _, p in whole.breakpoints]
     assert all(a >= b for a, b in zip(powers, powers[1:]))
     assert all(p >= whole.unbounded_power >= 0 for p in powers)
 
-    parts = [build_envelope(outcomes[i::3]) for i in range(3)]
+    parts = [build_envelope(make_run(outcomes[i::3])) for i in range(3)]
     checkpoints = [0.0] + list(whole.durations) + [whole.durations[-1] + 1.0]
     for t in checkpoints:
         assert sum(p.power_at(t) for p in parts) == pytest.approx(
@@ -119,26 +123,26 @@ def test_envelope_monotone_and_partition_additive():
 
 
 def test_finite_energy_arithmetic():
-    res = finite_energy([
+    res = finite_energy(make_run([
         (make_sample(weight=2.0), outcome(-1000.0, Duration.finite(3600.0))),
-    ])
+    ]))
     assert res.energy_wh == pytest.approx(2000.0)
     assert res.unbounded_count == 0
 
-    mixed = finite_energy([
+    mixed = finite_energy(make_run([
         (make_sample(weight=2.0), outcome(-1000.0, Duration.finite(3600.0))),
         (make_sample(weight=1.0), outcome(-500.0, Duration.unbounded())),
-    ])
+    ]))
     assert mixed.energy_wh == pytest.approx(2000.0)
     assert mixed.unbounded_count == 1
     assert mixed.unbounded_power_w == pytest.approx(500.0)
 
 
 def test_finite_energy_all_unbounded():
-    res = finite_energy([
+    res = finite_energy(make_run([
         (make_sample(weight=1.0), outcome(-500.0, Duration.unbounded())),
         (make_sample(weight=2.0), outcome(-100.0, Duration.unbounded())),
-    ])
+    ]))
     assert res.energy_wh == 0.0
     assert res.unbounded_count == 2
     assert res.unbounded_power_w == pytest.approx(700.0)
@@ -149,7 +153,7 @@ def test_capped_energy_counts_unbounded_at_cap():
         (make_sample(weight=1.0), outcome(-100.0, Duration.finite(7200.0))),
         (make_sample(weight=1.0), outcome(-100.0, Duration.unbounded())),
     ]
-    assert capped_energy(outcomes, cap_s=3600.0) == pytest.approx(200.0)
+    assert capped_energy(make_run(outcomes), cap_s=3600.0) == pytest.approx(200.0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +176,17 @@ def la_fixture():
 
 def test_rollup_merges_lsoas_within_local_authority():
     table, outcomes = la_fixture()
-    report = rollup(outcomes, table, Level.LOCAL_AUTHORITY)
+    report = rollup(make_run(outcomes), table, Level.LOCAL_AUTHORITY)
     assert set(report.groups) == {"Cardiff", "Swansea"}
     cardiff = report.groups["Cardiff"].envelope
-    merged = build_envelope(outcomes[:2])
+    merged = build_envelope(make_run(outcomes[:2]))
     assert cardiff.breakpoints == merged.breakpoints
     assert cardiff.total_power == pytest.approx(280.0)
 
 
 def test_rollup_national_single_group():
     table, outcomes = la_fixture()
-    report = rollup(outcomes, table, Level.NATIONAL)
+    report = rollup(make_run(outcomes), table, Level.NATIONAL)
     assert set(report.groups) == {"national"}
     assert report.total_magnitude_at_zero_w == pytest.approx(330.0)
     assert report.groups["national"].envelope.total_power == pytest.approx(330.0)
@@ -191,7 +195,7 @@ def test_rollup_national_single_group():
 def test_rollup_totals_equal_sum_of_groups():
     table, outcomes = la_fixture()
     for level in Level:
-        report = rollup(outcomes, table, level)
+        report = rollup(make_run(outcomes), table, level)
         assert report.total_magnitude_at_zero_w == pytest.approx(
             sum(g.magnitude_at_zero_w for g in report.groups.values()), rel=1e-9
         )
@@ -204,7 +208,7 @@ def test_rollup_reports_unresolved_lsoas():
     table, outcomes = la_fixture()
     stray = (make_sample(weight=1.0, lsoa_id="E01999999"),
              outcome(-40.0, Duration.finite(60.0)))
-    report = rollup(outcomes + [stray], table, Level.REGION)
+    report = rollup(make_run(outcomes + [stray]), table, Level.REGION)
     assert report.unresolved_lsoas == ("E01999999",)
     assert report.excluded_power_w == pytest.approx(40.0)
     assert report.total_magnitude_at_zero_w == pytest.approx(330.0)
@@ -218,7 +222,7 @@ def test_export_round_trip_both_formats(tmp_path):
     table, outcomes = la_fixture()
     stray = (make_sample(weight=1.0, lsoa_id="E01999999"),
              outcome(-40.0, Duration.finite(60.0)))
-    report = rollup(outcomes + [stray], table, Level.LOCAL_AUTHORITY)
+    report = rollup(make_run(outcomes + [stray]), table, Level.LOCAL_AUTHORITY)
 
     export_report(report, ExportFormat.CSV, tmp_path / "csv")
     assert load_report(tmp_path / "csv", ExportFormat.CSV) == report
@@ -233,7 +237,7 @@ def test_total_unbounded_power_is_sum_of_groups(tmp_path, small_stock):
     records, table = small_stock
     spec = ScenarioSpec(outdoor_temp=0.0, indoor_model=TruncatedNormalIndoor(seed=13))
     run = run_stock_scenario(records, table, spec, Direction.POSITIVE, expansion=4)
-    report = rollup(run.outcomes, table, Level.REGION)
+    report = rollup(run, table, Level.REGION)
     groups_w = sum(g.unbounded_power_w for g in report.groups.values())
     assert sum(g.unbounded_power_w > 0 for g in report.groups.values()) >= 2
     assert report.total_unbounded_w == pytest.approx(groups_w, rel=1e-12)
@@ -256,16 +260,53 @@ def test_total_unbounded_power_is_sum_of_groups(tmp_path, small_stock):
 
 def test_export_idempotent_bytes(tmp_path):
     table, outcomes = la_fixture()
-    report = rollup(outcomes, table, Level.LOCAL_AUTHORITY)
+    report = rollup(make_run(outcomes), table, Level.LOCAL_AUTHORITY)
     paths_a = export_report(report, ExportFormat.CSV, tmp_path / "a")
     paths_b = export_report(report, ExportFormat.CSV, tmp_path / "b")
     for pa, pb in zip(paths_a, paths_b):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_json_export_writes_what_json_module_writes(tmp_path):
+    # report.json writes its breakpoint lists without the json encoder; the
+    # bytes must stay those of json.dump(doc, sort_keys=True, indent=2)
+    def group(breakpoints, unbounded):
+        power = breakpoints[0][1] if breakpoints else unbounded
+        return GroupStats(Envelope(tuple(breakpoints), power, unbounded), 1.5, 0.1)
+
+    groups = {
+        "z": group([(60.0, 3.0), (1e-300, 2.0), (7200.5, 1.0)], 0.5),
+        "all unbounded": group([], 4.0),
+        'quote " and breakpoints': group([(1.0, float("inf")), (2.0, float("nan"))], 0.0),
+        "breakpoints": group([(0.1, 0.2)], 0.0),
+    }
+    report = AggregateReport(Level.LSOA, groups, 6.0, 7.0, 4.5, 0.4,
+                             unresolved_lsoas=("E01999999",), excluded_power_w=3.25)
+    export_report(report, ExportFormat.JSON, tmp_path)
+    doc = {
+        "level": "lsoa",
+        "groups": {
+            key: {
+                "installed_w": g.installed_thermal_w,
+                "magnitude_at_0_w": g.magnitude_at_zero_w,
+                "unbounded_w": g.unbounded_power_w,
+                "finite_energy_wh": g.finite_energy_wh,
+                "breakpoints": [list(bp) for bp in g.envelope.breakpoints],
+            }
+            for key, g in groups.items()
+        },
+        "totals": {"installed_w": 6.0, "magnitude_at_0_w": 7.0, "unbounded_w": 4.5,
+                   "finite_energy_wh": 0.4},
+        "unresolved_lsoas": ["E01999999"],
+        "excluded_power_w": 3.25,
+    }
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == expected
+
+
 def test_export_empty_report(tmp_path):
     table, _ = la_fixture()
-    report = rollup([], table, Level.NATIONAL)
+    report = rollup(make_run([]), table, Level.NATIONAL)
     paths = export_report(report, ExportFormat.CSV, tmp_path)
     envelope_csv = paths[0].read_text(encoding="utf-8")
     assert envelope_csv == "key,duration_s,power_w\n"
@@ -273,9 +314,9 @@ def test_export_empty_report(tmp_path):
 
 
 def test_plot_grid_export(tmp_path):
-    env = build_envelope([
+    env = build_envelope(make_run([
         (make_sample(weight=1.0), outcome(-100.0, Duration.finite(90.0))),
-    ])
+    ]))
     path = export_plot_grid(env, tmp_path / "grid.csv", grid_s=60.0, cap_s=180.0)
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "duration_s,power_w"
@@ -293,10 +334,10 @@ def test_rollup_consistency_across_levels(small_stock):
     spec = ScenarioSpec(outdoor_temp=0.0, indoor_model=TruncatedNormalIndoor(seed=13))
     run = run_stock_scenario(records, table, spec, Direction.NEGATIVE, expansion=4)
 
-    national = rollup(run.outcomes, table, Level.NATIONAL)
-    by_region = rollup(run.outcomes, table, Level.REGION)
-    by_la = rollup(run.outcomes, table, Level.LOCAL_AUTHORITY)
-    by_lsoa = rollup(run.outcomes, table, Level.LSOA)
+    national = rollup(run, table, Level.NATIONAL)
+    by_region = rollup(run, table, Level.REGION)
+    by_la = rollup(run, table, Level.LOCAL_AUTHORITY)
+    by_lsoa = rollup(run, table, Level.LSOA)
 
     nat_env = national.groups["national"].envelope
     checkpoints = [0.0] + list(nat_env.durations) + [nat_env.durations[-1] + 1.0]
@@ -315,7 +356,7 @@ def test_positive_headroom_by_region_at_minus5(small_stock):
     records, table = small_stock
     spec = ScenarioSpec(outdoor_temp=-5.0, indoor_model=FixedIndoor(19.0))
     run = run_stock_scenario(records, table, spec, Direction.POSITIVE)
-    report = rollup(run.outcomes, table, Level.REGION)
+    report = rollup(run, table, Level.REGION)
     assert report.groups["South East"].magnitude_at_zero_w == pytest.approx(0.0, abs=1e-9)
     nw = report.groups["North West"]
     assert nw.magnitude_at_zero_w == pytest.approx(

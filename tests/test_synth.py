@@ -3,7 +3,7 @@
 import pytest
 
 from heatflex import load_stock, write_stock
-from heatflex.synth import generate_stock, write_lookup
+from heatflex.synth import LSOAS_PER_LOCAL_AUTHORITY, generate_stock, write_lookup
 
 from conftest import make_region_table
 
@@ -36,6 +36,19 @@ def test_records_survive_csv_round_trip(tmp_path):
     write_lookup(lookup, tmp_path / "lookup.csv")
     header = (tmp_path / "lookup.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "lsoa_id,region,local_authority"
+
+
+def test_local_authorities_nest_lsoas_of_one_region():
+    _, lookup = generate_stock(200_000, seed=4)
+    regions_of_la, lsoas_of_la = {}, {}
+    for lsoa, region, la in lookup:
+        regions_of_la.setdefault(la, set()).add(region)
+        lsoas_of_la.setdefault(la, set()).add(lsoa)
+    assert all(len(regions) == 1 for regions in regions_of_la.values())
+    assert all(len(lsoas) <= LSOAS_PER_LOCAL_AUTHORITY for lsoas in lsoas_of_la.values())
+    # LA rollups merge LSOAs: 333 LSOAs fill far fewer than 333 authorities
+    assert len(lookup) == 333
+    assert len(lsoas_of_la) == 70
 
 
 def test_empty_stock():
