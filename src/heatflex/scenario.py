@@ -30,7 +30,6 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, DomainError, MissingParamsError
 from .rc import (INDOOR_TEMP_MAX, INDOOR_TEMP_MIN, ComfortBand, CopCurve, Direction,
@@ -70,35 +69,154 @@ class TruncatedNormalIndoor:
             raise ConfigError(f"standard deviation must be > 0, got {self.sd}")
         if self.low >= self.high:
             raise ConfigError(f"truncation bounds ({self.low}, {self.high}) are inverted")
+        if self.seed < 0:
+            raise ConfigError(f"indoor seed must be a non-negative integer, got {self.seed}")
 
 
 IndoorTempModel = FixedIndoor | TruncatedNormalIndoor
 
 
-def _uniforms(model: TruncatedNormalIndoor, n: int, stream_key: int) -> np.ndarray:
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([model.seed, stream_key]))
-    )
-    return rng.random(n)
+# Key mixing of numpy's SeedSequence, after O'Neill's seed_seq_fe
+# ("Developing a seed_seq alternative", pcg-random.org, 2015): uint32 words
+# with wrapping arithmetic, a pool of four words, XSHIFT = 16.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC'11), the bit generator behind numpy's Philox.
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+
+
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: little-endian uint32 words, at least one."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence.mix_entropy over columns: entropy[i] holds word i of every row."""
+    hash_const = _INIT_A  # the same for every row, so a Python int
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _philox_keys(seed: int, stream_keys: np.ndarray) -> np.ndarray:
+    """Row i is SeedSequence([seed, stream_keys[i]]).generate_state(2, np.uint64).
+
+    A key below 2**32 is one entropy word and any other key two, so the
+    rows are mixed in two groups of equal entropy length.
+    """
+    lo = (stream_keys & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (stream_keys >> np.uint64(32)).astype(np.uint32)
+    seed_words = _uint32_words(seed)
+    keys = np.empty((len(stream_keys), 2), dtype=np.uint64)
+    wide = hi != 0
+    for rows, key_words in ((~wide, [lo]), (wide, [lo, hi])):
+        entropy = [np.full(int(rows.sum()), w, dtype=np.uint32) for w in seed_words]
+        pool = _seed_pool(entropy + [w[rows] for w in key_words])
+        hash_const, state = _INIT_B, []
+        for i in range(4):  # generate_state: 2 uint64 are 4 uint32 words
+            value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+            hash_const = (hash_const * _MULT_B) & _MASK32
+            value = value * np.uint32(hash_const)
+            state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+        keys[rows, 0] = state[0] | (state[1] << np.uint64(32))
+        keys[rows, 1] = state[2] | (state[3] << np.uint64(32))
+    return keys
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64 bits of the 128-bit product m * x, from 32-bit partial products."""
+    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    x_lo, x_hi = x & np.uint64(_MASK32), x >> np.uint64(32)
+    ll, lh, hl, hh = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo, x_hi * m_hi
+    shift, mask = np.uint64(32), np.uint64(_MASK32)
+    carry = ((ll >> shift) + (hl & mask) + (lh & mask)) >> shift
+    return hh + (hl >> shift) + (lh >> shift) + carry, x * np.uint64(m)
+
+
+def _philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
+    """Row i is Generator(Philox(key=keys[i])).random(n), for (rows, 2) uint64 keys.
+
+    numpy's Philox bumps its counter before the first block, so block j of
+    every row runs from the counter (j + 1, 0, 0, 0); each block gives four
+    uint64 outputs, and a double is the top 53 bits of one output.
+    """
+    blocks = -(-n // 4)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(keys), blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + np.uint64(_PHILOX_W0), k1 + np.uint64(_PHILOX_W1)
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    bits = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), 4 * blocks)[:, :n]
+    return (bits >> np.uint64(11)) * 2.0**-53
 
 
 def _truncated_normal(model: TruncatedNormalIndoor, u: np.ndarray) -> np.ndarray:
     """Map uniforms of any shape through the truncated normal quantile function."""
+    from scipy.special import ndtr, ndtri  # 0.45 s to import; fixed-indoor runs never need it
+
     a = (model.low - model.mean) / model.sd
     b = (model.high - model.mean) / model.sd
     fa, fb = ndtr(a), ndtr(b)
     return model.mean + model.sd * ndtri(fa + u * (fb - fa))
 
 
+def _draw_indoor_temps(
+    model: TruncatedNormalIndoor, stream_keys: np.ndarray, n: int
+) -> np.ndarray:
+    """Row i holds n draws from the stream of (model.seed, stream_keys[i])."""
+    keys = _philox_keys(model.seed, stream_keys)
+    return _truncated_normal(model, _philox_uniforms(keys, n))
+
+
 def sample_indoor_temps(
     model: IndoorTempModel, n: int, stream_key: int = 0
 ) -> np.ndarray:
-    """Draw n indoor temperatures; deterministic given (model.seed, stream_key)."""
+    """Draw n indoor temperatures; deterministic given (model.seed, stream_key).
+
+    stream_key is an unsigned 64-bit integer; the draws are those of
+    Generator(Philox(SeedSequence([model.seed, stream_key]))).random(n)
+    mapped through the truncated normal.
+    """
     if n < 0:
         raise ConfigError(f"sample count must be >= 0, got {n}")
     if isinstance(model, FixedIndoor):
         return np.full(n, model.temp, dtype=float)
-    return _truncated_normal(model, _uniforms(model, n, stream_key))
+    if not 0 <= stream_key < 2**64:
+        raise ConfigError(f"stream key must be within [0, 2**64), got {stream_key}")
+    return _draw_indoor_temps(model, np.array([stream_key], dtype=np.uint64), n)[0]
 
 
 def _record_stream_key(lsoa_id: str, category: DwellingCategory) -> int:
@@ -190,10 +308,9 @@ def build_samples(
     if isinstance(model, FixedIndoor):
         indoor = np.full(len(live), model.temp, dtype=float)
     else:
-        u = np.empty((len(live), expansion))
-        for row, record in zip(u, live):
-            row[:] = _uniforms(model, expansion, _record_stream_key(record.lsoa_id, record.category))
-        indoor = _truncated_normal(model, u).ravel()
+        keys = np.array([_record_stream_key(r.lsoa_id, r.category) for r in live],
+                        dtype=np.uint64)
+        indoor = _draw_indoor_temps(model, keys, expansion).ravel()
         columns[1] = columns[1] / expansion
         columns = [np.repeat(c, expansion) for c in columns]
     code, weight, heat_loss, capacitance, hp_size = columns

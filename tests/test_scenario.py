@@ -94,6 +94,82 @@ def test_truncated_normal_validation():
         TruncatedNormalIndoor(low=24.0, high=14.0)
     with pytest.raises(ConfigError):
         sample_indoor_temps(FixedIndoor(19.0), -1)
+    with pytest.raises(ConfigError, match="seed"):
+        TruncatedNormalIndoor(seed=-3)
+    for key in (-1, 2**64):
+        with pytest.raises(ConfigError, match="stream key"):
+            sample_indoor_temps(TruncatedNormalIndoor(), 4, stream_key=key)
+
+
+# The vectorised draw path must give numpy's own per-record streams bit for
+# bit: keys from SeedSequence([seed, stream_key]), uniforms from
+# Generator(Philox(key=...)). These edge values cross every word-count
+# boundary of the key mixing (one or two key words; one, two or more seed
+# words, the last overflowing the four-word pool).
+EDGE_STREAM_KEYS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+EDGE_SEEDS = [0, 7, 42, 2**32 + 5, 2**130 + 3]
+u64 = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def reference_keys(seed, stream_keys):
+    return np.array([np.random.SeedSequence([seed, k]).generate_state(2, np.uint64)
+                     for k in stream_keys], dtype=np.uint64).reshape(-1, 2)
+
+
+def reference_uniforms(keys, n):
+    return np.array([np.random.Generator(np.random.Philox(key=k)).random(n) for k in keys],
+                    dtype=float).reshape(len(keys), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(min_value=0, max_value=2**160)),
+       stream_keys=st.lists(st.one_of(st.sampled_from(EDGE_STREAM_KEYS), u64), max_size=12))
+@example(seed=0, stream_keys=EDGE_STREAM_KEYS)
+@example(seed=7, stream_keys=EDGE_STREAM_KEYS)
+@example(seed=42, stream_keys=EDGE_STREAM_KEYS)
+@example(seed=2**32 + 5, stream_keys=EDGE_STREAM_KEYS)
+@example(seed=2**130 + 3, stream_keys=EDGE_STREAM_KEYS)
+def test_philox_keys_equal_seed_sequence(seed, stream_keys):
+    got = scenario._philox_keys(seed, np.array(stream_keys, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, reference_keys(seed, stream_keys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(st.tuples(u64, u64), min_size=1, max_size=6),
+       n=st.integers(min_value=0, max_value=41))
+@example(keys=[(0, 0), (2**64 - 1, 2**64 - 1), (1, 2**32)], n=1)
+@example(keys=[(0, 0), (2**64 - 1, 2**64 - 1), (1, 2**32)], n=10)
+@example(keys=[(2**32 - 1, 5)], n=4)
+def test_philox_uniforms_equal_generator(keys, n):
+    keys = np.array(keys, dtype=np.uint64)
+    got = scenario._philox_uniforms(keys, n)
+    assert got.shape == (len(keys), n)
+    assert np.array_equal(got, reference_uniforms(keys, n))
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_draws_equal_per_record_generators(small_stock, seed):
+    # the loop the vectorised path replaced, kept as the reference: one
+    # Generator(Philox(SeedSequence([seed, key]))) per record
+    model = TruncatedNormalIndoor(seed=seed)
+
+    def reference(key, n):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, key])))
+        return scenario._truncated_normal(model, rng.random(n))
+
+    for key in EDGE_STREAM_KEYS:
+        for n in (1, 3, 10):
+            assert np.array_equal(sample_indoor_temps(model, n, key), reference(key, n))
+
+    records, table = small_stock
+    live = [r for r in records if not r.skippable]
+    samples = build_samples(records, derive_all(records, table),
+                            spec_at(5.0, indoor_model=model), expansion=7)
+    want = np.concatenate([
+        reference(scenario._record_stream_key(r.lsoa_id, r.category), 7) for r in live
+    ])
+    assert np.array_equal(samples.indoor_temp, want)
 
 
 # ---------------------------------------------------------------------------
