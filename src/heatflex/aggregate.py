@@ -244,7 +244,8 @@ def export_report(report: AggregateReport, fmt: ExportFormat, out_dir: str | Pat
 
     CSV produces envelope.csv (key, duration_s, power_w), summary.csv
     (level, key, installed_w, magnitude_at_0_w, unbounded_w,
-    finite_energy_wh, excluded_power_w) with a trailing __total__ row, and
+    finite_energy_wh, excluded_power_w) with a trailing __total__ row, the
+    only row whose excluded_power_w cell is filled, and
     unresolved.csv when any LSOA failed to resolve. JSON produces a single
     report.json. Keys are ordered lexicographically, breakpoints ascending,
     floats written in full round-trip precision, so identical reports export
@@ -280,7 +281,7 @@ def _export_csv(report: AggregateReport, out_dir: Path) -> list[Path]:
             writer.writerow([
                 report.level.value, key, repr(g.installed_thermal_w),
                 repr(g.magnitude_at_zero_w), repr(g.unbounded_power_w),
-                repr(g.finite_energy_wh), repr(0.0),
+                repr(g.finite_energy_wh), "",  # excluded power belongs to no group
             ])
         writer.writerow([
             report.level.value, _TOTAL_KEY, repr(report.total_installed_thermal_w),
@@ -416,6 +417,11 @@ def _load_csv(out_dir: Path) -> AggregateReport:
                 }
                 excluded = float(row["excluded_power_w"])
                 continue
+            if row["excluded_power_w"]:
+                raise DataValidationError(
+                    f"{out_dir}: summary.csv group {row['key']!r} has excluded_power_w "
+                    f"{row['excluded_power_w']!r}; only the {_TOTAL_KEY} row carries it"
+                )
             envelope = Envelope(
                 breakpoints=tuple(breakpoints_by_key.get(row["key"], [])),
                 total_power=float(row["magnitude_at_0_w"]),

@@ -238,7 +238,10 @@ def service_duration(
       zero      the start temperature is already at or beyond the limit;
       unbounded the steady state never reaches the limit;
       finite    tau * ln((indoor - T_ss) / (limit - T_ss)), the exact
-                time-to-threshold of the balance equation.
+                time-to-threshold of the balance equation, computed as
+                tau * log1p((indoor - limit) / (limit - T_ss)): the same
+                quantity without the cancellation of a log near 1 when
+                indoor is a few ulps from the limit.
     """
     _check_indoor(indoor)
     t_ss = steady_state_temp(dwelling, outdoor, power_thermal)
@@ -254,7 +257,7 @@ def service_duration(
             return Duration.zero()
         if t_ss >= limit:
             return Duration.unbounded()
-    return Duration.finite(dwelling.tau * math.log((indoor - t_ss) / (limit - t_ss)))
+    return Duration.finite(dwelling.tau * math.log1p((indoor - limit) / (limit - t_ss)))
 
 
 def service_duration_discrete(

@@ -18,7 +18,11 @@ Randomness is reproducible and order-independent: each stock record owns a
 counter-based Philox stream keyed by a stable hash of its (LSOA, category)
 identity combined with the scenario seed, so reordering records, changing
 the uptake fraction or sweeping capacity levels never perturbs the
-temperatures any record receives.
+temperatures any record receives. Record i's stream is numpy's
+Generator(Philox(SeedSequence([seed, key_i]))), but all records are drawn
+in one array pass: `_philox_keys` ports SeedSequence's key mixing (after
+O'Neill's seed_seq_fe) and `_philox_uniforms` runs Philox4x64-10 (Salmon
+et al., SC'11) on a (records, blocks) counter array, bit for bit.
 """
 
 from __future__ import annotations
@@ -142,8 +146,8 @@ def _philox_keys(seed: int, stream_keys: np.ndarray) -> np.ndarray:
         entropy = [np.full(int(rows.sum()), w, dtype=np.uint32) for w in seed_words]
         pool = _seed_pool(entropy + [w[rows] for w in key_words])
         hash_const, state = _INIT_B, []
-        for i in range(4):  # generate_state: 2 uint64 are 4 uint32 words
-            value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        for word in pool:  # generate_state: 2 uint64 are the 4 pool words, hashed
+            value = word ^ np.uint32(hash_const)
             hash_const = (hash_const * _MULT_B) & _MASK32
             value = value * np.uint32(hash_const)
             state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
@@ -153,13 +157,17 @@ def _philox_keys(seed: int, stream_keys: np.ndarray) -> np.ndarray:
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64 bits of the 128-bit product m * x, from 32-bit partial products."""
+    """High and low 64 bits of the 128-bit product m * x.
+
+    The high word sums four 32-bit partial products (Warren, Hacker's
+    Delight, mulhu); no partial sum can overflow 64 bits.
+    """
     m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
-    x_lo, x_hi = x & np.uint64(_MASK32), x >> np.uint64(32)
-    ll, lh, hl, hh = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo, x_hi * m_hi
     shift, mask = np.uint64(32), np.uint64(_MASK32)
-    carry = ((ll >> shift) + (hl & mask) + (lh & mask)) >> shift
-    return hh + (hl >> shift) + (lh >> shift) + carry, x * np.uint64(m)
+    x_lo, x_hi = x & mask, x >> shift
+    mid = x_hi * m_lo + ((x_lo * m_lo) >> shift)
+    low_mid = x_lo * m_hi + (mid & mask)
+    return x_hi * m_hi + (mid >> shift) + (low_mid >> shift), x * np.uint64(m)
 
 
 def _philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
@@ -185,7 +193,8 @@ def _philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
 
 def _truncated_normal(model: TruncatedNormalIndoor, u: np.ndarray) -> np.ndarray:
     """Map uniforms of any shape through the truncated normal quantile function."""
-    from scipy.special import ndtr, ndtri  # 0.45 s to import; fixed-indoor runs never need it
+    # scipy.special takes 0.3-0.45 s and 26 MB to import; fixed-indoor runs never need it
+    from scipy.special import ndtr, ndtri
 
     a = (model.low - model.mean) / model.sd
     b = (model.high - model.mean) / model.sd
@@ -358,11 +367,11 @@ def run_scenario(
 
     Each row gets what rc.evaluate returns for its dwelling: the array
     expressions below repeat its float operations in its order, and
-    durations take math.log per row because np.log can differ in the last
-    place. A row rc would reject (a non-positive R, C or heat pump size, an
-    indoor temperature outside [INDOOR_TEMP_MIN, INDOOR_TEMP_MAX] or nan)
-    is marked FAILED with rc's message instead of aborting the run. Rows
-    are independent, so running the parts of any partition and
+    durations take math.log1p per row because np.log1p can differ in the
+    last place. A row rc would reject (a non-positive R, C or heat pump
+    size, an indoor temperature outside [INDOOR_TEMP_MIN, INDOOR_TEMP_MAX]
+    or nan) is marked FAILED with rc's message instead of aborting the
+    run. Rows are independent, so running the parts of any partition and
     concatenating gives the same run.
     """
     band, outdoor = spec.comfort_band, spec.outdoor_temp
@@ -388,8 +397,8 @@ def run_scenario(
 
         duration = np.where(kind == UNBOUNDED, np.inf, 0.0)
         duration[failed] = np.nan
-        ratio = (indoor[finite] - t_ss[finite]) / (limit - t_ss[finite])
-        logs = np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
+        excess = (indoor[finite] - limit) / (limit - t_ss[finite])
+        logs = np.fromiter(map(math.log1p, excess.tolist()), float, len(excess))
         duration[finite] = (r[finite] * c[finite]) * logs
 
         iq = np.minimum(np.maximum((indoor - outdoor) / r, 0.0), p_max)  # clamped output

@@ -8,6 +8,7 @@ import pytest
 
 from heatflex import (
     AggregateReport,
+    DataValidationError,
     Direction,
     Duration,
     Envelope,
@@ -229,6 +230,31 @@ def test_export_round_trip_both_formats(tmp_path):
 
     export_report(report, ExportFormat.JSON, tmp_path / "json")
     assert load_report(tmp_path / "json", ExportFormat.JSON) == report
+
+
+def test_excluded_power_only_on_total_row(tmp_path):
+    # excluded power comes from unresolved LSOAs, which join no group: the
+    # group rows leave the cell empty, and a loader meeting a filled one
+    # refuses the file rather than drop the value
+    table, outcomes = la_fixture()
+    stray = (make_sample(weight=1.0, lsoa_id="E01999999"),
+             outcome(-40.0, Duration.finite(60.0)))
+    report = rollup(make_run(outcomes + [stray]), table, Level.LOCAL_AUTHORITY)
+    export_report(report, ExportFormat.CSV, tmp_path)
+    summary = tmp_path / "summary.csv"
+    with open(summary, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["excluded_power_w"] for r in rows if r["key"] != "__total__"] == [""] * len(
+        report.groups)
+    assert rows[-1]["key"] == "__total__"
+    assert rows[-1]["excluded_power_w"] == repr(40.0)
+
+    lines = summary.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1].endswith(",\n")
+    summary.write_text(lines[0] + lines[1][:-1] + "0.0\n" + "".join(lines[2:]),
+                       encoding="utf-8")
+    with pytest.raises(DataValidationError, match="excluded_power_w"):
+        load_report(tmp_path, ExportFormat.CSV)
 
 
 def test_total_unbounded_power_is_sum_of_groups(tmp_path, small_stock):

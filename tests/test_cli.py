@@ -191,70 +191,72 @@ def _export_digests(runner) -> dict[str, dict[str, str]]:
 
 
 # SHA-256 of every file the benchmark command lines export on the small
-# stock, recorded with the object-per-sample evaluation that preceded the
-# columnar core. A change that alters any exported byte fails here.
+# stock. Last recorded when durations moved to the log1p form and group rows
+# of summary.csv stopped writing excluded_power_w; the vectorised draws
+# before that left every digest unchanged. A change that alters any exported
+# byte fails here.
 GOLDEN_EXPORTS = {
     "flex_lsoa_fixed": {
         "envelope.csv":
             "786657ee476effa88300df3d779c8cd049a82b3eb969c3753e884c49bc3740b9",
         "summary.csv":
-            "d6846fd5d1464cabeed58cddc3704f8569a110c415e204a89a7758e5d75f641a",
+            "0eca5f4bfd4e3ddcb3e5c184e5e5ef0e48f5d3235d4d83087fb851032bfc4de1",
     },
     "flex_national_stochastic": {
         "report.json":
-            "1de948617d352dba94fdb806b23e44108b438136c792331bc1d0bb800a89f969",
+            "dace78b8c9861340401afd2b817f7bc50fcb8869cb012c94e52d37f3b346fea3",
     },
     "retrofit_compare": {
         "after/envelope.csv":
             "240708c305b3f6b29ddb0a7f13864459f837beac5b7f637df884b33b4773b6dc",
         "after/summary.csv":
-            "3490a2a8dfcaf56b3d3254aa14f849e2e338d4c0647afcc6c79f09a8fb308f82",
+            "81f6736abe2d8202f3beb3d910302b220eae39ddcbe2b367beab62d6e67a5c47",
         "before/envelope.csv":
             "786657ee476effa88300df3d779c8cd049a82b3eb969c3753e884c49bc3740b9",
         "before/summary.csv":
-            "d6846fd5d1464cabeed58cddc3704f8569a110c415e204a89a7758e5d75f641a",
+            "0eca5f4bfd4e3ddcb3e5c184e5e5ef0e48f5d3235d4d83087fb851032bfc4de1",
     },
     "sweep_capacity": {
         "capacity=medium+10/report.json":
-            "4dd219cc8b0ff1589fbeef91215c056654f14f91cd76e4bc24e02b890bc6d56b",
+            "165311f2b3508af83a069ed5854cef3cfd3b1602219288f9ee6ad7cbf2b4d3e3",
         "capacity=medium-10/report.json":
-            "56758d864e36770c045a74d51c91f02aeeaece96bcd45e31a90237093625351f",
+            "5a10932dbf1a6373d44906b06a857bbe706a4cdc374a5d163aaaaa8f1d0a55a0",
         "capacity=medium/report.json":
-            "1de948617d352dba94fdb806b23e44108b438136c792331bc1d0bb800a89f969",
+            "dace78b8c9861340401afd2b817f7bc50fcb8869cb012c94e52d37f3b346fea3",
     },
     "sweep_outdoor": {
         "outdoor=-2/envelope.csv":
-            "36e24f17a8b9dd5905ff7dda1006338ed82354deb2b0fa615255a8d17bd6d29d",
+            "db6b9a9133f174d4acb8f77a5a550fa26af8393d23d11254b80bb664c215c999",
         "outdoor=-2/summary.csv":
-            "1578a05151d99b941569eafefc0fd350a0ca5694aa6d365f68d437e86465b1e5",
+            "797e3fcb9353a5bb2b8849cc7ef6d3004e9106a0cb1b382ddfcce54d20caa51b",
         "outdoor=-4/envelope.csv":
-            "675decf356eb58925371af3254153e813d1a20a3ac6075f28a319b633c0767c4",
+            "e9e529a67ccace32b3d39155779e258aa60c48d3d4b3569617fc5d3b123d50f6",
         "outdoor=-4/summary.csv":
-            "f97083bc9560837d34a8af6a19a619c59097df81613deb0cc5ebacd78f0be19d",
+            "fb332fd07bf67a201377f9fd719c5c909d29ee7fa7304931a7b1cef9c6c9463b",
         "outdoor=0/envelope.csv":
-            "cdd32af0ea66e257cf400b63c5c2c65cb5f122fc8512515b00ce9de1a82759bb",
+            "cf25ef97be6e2f208dd6e7fd58a5a5a7795bb195b95a2689c0355666772f3a1a",
         "outdoor=0/summary.csv":
-            "85631812810bfa4e6e0704bc6026968678cf9c63f1a2356fb77bc43f17f49854",
+            "82e2472b3b4f7eb6dc0ca798bf3faad65cf9c96ce2cb87cd3de32aed3907d2d7",
         "outdoor=10/envelope.csv":
-            "1f6d1ff9505f0911e339b7686137d5afd80cea1d4be73c4a1597368dc28e4a58",
+            "662bc1095c164d24a96b4bf51fae8eb0c325f6e965554c0574b538cbbc9426ab",
         "outdoor=10/summary.csv":
-            "e66c088e5faa8545a1e7e6a2884d6e6c03dd80a12b9f2f743b5be72dc62f7c58",
+            "39f7a77985acbf0c8937e2ef35a492dd946fbd25413f470606840cfe40c0fd44",
         "outdoor=2/envelope.csv":
-            "9633514c7fb264f22cd21007c521abdb1112c4b9c2d7cc8bb9413d3f5687e3b3",
+            "78eba4b62953a3aa4c932652bc0fa313567509d446318223611209bf6f012e30",
         "outdoor=2/summary.csv":
-            "59662ba7218ef623307df66bdbdb1c2c813ff1d580bf809afc39310a7ab24166",
+            "cc8d449f6b14df4f2f294732fbc9847928690a89b18e0fa78602ea94130c29a1",
         "outdoor=4/envelope.csv":
-            "c9272cd9098c9cbb8e1fcd711e430e5bd2fd1bbe691430f12159a65f83d29886",
+            "0d084dd4a0989f8114d6344b9a919a808f0fa4638e103bcb4799986e6e26017f",
         "outdoor=4/summary.csv":
-            "72f7ee85131b08029ed9470a42e43e284757ff2b198fcfcc8796c478989432b0",
+            "289d6b2a259cd9777006c13ee3e9633e366efd8b322ccaf02bebf308c08b9a7a",
         "outdoor=6/envelope.csv":
-            "a63677f890b6a7307b9babcbd044fd003eb4a02c20d5b0b7af98a1fde820aaa6",
+            "4cc07825e35ed4c31ff5a4827d805491ce055f081fc361fddf25ad4e36286be6",
         "outdoor=6/summary.csv":
-            "4be57baf2c0c26f9963b36e6a104b04d15bb3d52dde5172df9dda017fe9f9c40",
+            "e63e3dbfc6a2e6f1732f79b8c91dc71ba720a23096fd57ec1f43917c9d547974",
         "outdoor=8/envelope.csv":
-            "d85a550315728a316dc858edbe234fc70ff33e2186862f45b937ee5e8bc1c6c2",
+            "bf0e480a13388e108a1cd0a5f2a514a48c0d6215453bea8edb0ae07c3d7ff315",
         "outdoor=8/summary.csv":
-            "717cf703c2e3a9dadb3616777612c8310799f79eaac17678c328330782c1d15a",
+            "a3778ccd3d7db6b9a22c6d646b3df9e7afa1cec97c52fb9aaf94888f9a21eb4f",
     },
 }
 
@@ -359,6 +361,47 @@ def test_bad_scenario_exits_1(workspace):
         "--out", str(workspace / "x"),
     ])
     assert code == EXIT_USAGE
+
+
+def test_negative_indoor_seed_exits_1_naming_the_seed(workspace, capsys):
+    bad = workspace / "negseed.ini"
+    bad.write_text(SCENARIO_PDF.replace("seed = 42", "seed = -3"), encoding="utf-8")
+    out = workspace / "negseed"
+    code = main([
+        "flex",
+        "--stock", str(workspace / "stock.csv"),
+        "--lookup", str(workspace / "stock_lookup.csv"),
+        "--scenario", str(bad),
+        "--direction", "neg",
+        "--out", str(out),
+    ])
+    assert code == EXIT_USAGE
+    assert "indoor seed must be a non-negative integer, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scipy_loaded_only_for_drawn_temperatures(workspace):
+    # scipy.special costs about 0.45 s and 26 MB to import and only the
+    # truncated normal uses it: importing the CLI and a fixed-indoor run
+    # must not load it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def python(code, *args):
+        return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=workspace,
+                              capture_output=True, text=True, timeout=120)
+
+    probe = python("import sys, heatflex.cli; print('scipy' in sys.modules)")
+    assert probe.stdout.strip() == "False", probe.stderr
+    (workspace / "pdf.ini").write_text(SCENARIO_PDF, encoding="utf-8")
+    without_scipy = ("import sys; sys.modules['scipy'] = None\n"
+                     "from heatflex.cli import main\n"
+                     "sys.exit(main(sys.argv[1:]))")
+    for scenario, expected in (("scenario.ini", EXIT_OK), ("pdf.ini", EXIT_RUNTIME)):
+        run = python(without_scipy, "flex", "--stock", "stock.csv", "--lookup",
+                     "stock_lookup.csv", "--scenario", scenario, "--direction", "neg",
+                     "--out", "out_" + scenario)
+        assert run.returncode == expected, (scenario, run.stderr)
+    assert (workspace / "out_scenario.ini" / "summary.csv").exists()
 
 
 def test_data_errors_exit_2(workspace, tmp_path):
