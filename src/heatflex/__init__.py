@@ -1,10 +1,10 @@
 """Flexibility from the thermal mass of heat-pump-heated dwelling stocks.
 
-Pipeline: ingest a per-LSOA stock table, derive per-record thermal physics
-(heat loss, capacitance, heat pump size), expand the records into a columnar
-sample table, run the 1R1C transient core over it as array expressions, and
-fold the outcome columns into flexibility envelopes at LSOA, local
-authority, region or national level.
+Pipeline: ingest a per-LSOA stock table into columns, derive per-record
+thermal physics (heat loss, capacitance, heat pump size) as columns, expand
+the live records into a columnar sample table, run the 1R1C transient core
+over it as array expressions, and fold the outcome columns into flexibility
+envelopes at LSOA, local authority, region or national level.
 """
 
 from .aggregate import (
@@ -69,6 +69,7 @@ from .stock import (
     DwellingForm,
     DwellingRecord,
     HeatingSystem,
+    StockTable,
     load_stock,
     winsorize_stock,
     write_stock,
@@ -77,6 +78,7 @@ from .thermal import (
     CapacityLevel,
     StockVariant,
     ThermalParams,
+    ThermalTable,
     derive_all,
     heat_loss_coefficient,
     size_heat_pump,
@@ -95,7 +97,8 @@ __all__ = [
     "FiniteEnergy", "FixedIndoor", "FlexOutcome", "GroupStats", "HeatflexError",
     "HeatingSystem", "Level", "MissingParamsError", "ParseError", "RcDwelling",
     "RegionInfo", "RegionTable", "SampleTable", "ScenarioRun", "ScenarioSpec", "SchemaError",
-    "StockVariant", "ThermalParams", "TruncatedNormalIndoor", "UnresolvedLsoaError",
+    "StockTable", "StockVariant", "ThermalParams", "ThermalTable", "TruncatedNormalIndoor",
+    "UnresolvedLsoaError",
     "build_envelope", "build_samples", "capped_energy", "cop_at",
     "default_regions_path", "derive_all", "evaluate", "export_plot_grid",
     "export_report", "finite_energy", "flexibility_magnitude", "heat_loss_coefficient",

@@ -9,6 +9,7 @@ their own regions file to rerun with updated climates.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -92,6 +93,8 @@ def load_region_table(
                 design = float(row["design_temp_c"])
             except ValueError:
                 raise ParseError(f"{regions_path}: row {row_no}: non-numeric cell") from None
+            if not (math.isfinite(hdd) and math.isfinite(design)):
+                raise ParseError(f"{regions_path}: row {row_no}: non-finite cell")
             if hdd <= 0:
                 raise DataValidationError(f"{regions_path}: {name}: heating degree days must be > 0")
             if design >= 21:

@@ -3,13 +3,15 @@
 A scenario fixes the outdoor temperature, the indoor temperature model
 (a single shared value or a truncated normal draw per dwelling), the stock
 variant, the thermal capacity level and the heat pump uptake fraction, then
-drives the RC core across every dwelling record. `run_sweep` is the one run
-engine: it evaluates a list of scenarios in order (a capacity, outdoor or
-indoor sweep, a before/after retrofit pair, or a single scenario) and
-derives parameters and draws samples only when a scenario changes them.
+evaluates the RC core over the live rows of a stock. `run_sweep` is the one
+run engine: it evaluates a list of scenarios in order (a capacity, outdoor
+or indoor sweep, a before/after retrofit pair, or a single scenario),
+derives parameters only when a scenario changes them and draws indoor
+temperatures only when it changes the indoor model.
 
-Samples and outcomes are columns, one numpy array per field: `build_samples`
-returns a `SampleTable` and `run_scenario` evaluates the whole table with
+Stock, parameters, samples and outcomes are all columns, one numpy array
+per field: `build_samples` slices a `StockTable` and its `ThermalTable`
+into a `SampleTable`, and `run_scenario` evaluates the whole table with
 masked array expressions into a `ScenarioRun`. The kernel does the float
 operations of `rc.evaluate` in the same order, so every row equals what the
 scalar functions in `rc`, kept as the reference, return for it.
@@ -31,16 +33,16 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MissingParamsError
+from .errors import ConfigError, DomainError
 from .rc import (INDOOR_TEMP_MAX, INDOOR_TEMP_MIN, ComfortBand, CopCurve, Direction,
                  RcDwelling, cop_at, evaluate)
 from .regions import RegionTable
-from .stock import DwellingCategory, DwellingRecord
-from .thermal import CapacityLevel, ParamsMap, StockVariant, derive_all
+from .stock import CATEGORIES, DwellingRecord, StockTable, as_stock_table
+from .thermal import CapacityLevel, StockVariant, ThermalTable, derive_all
 
 DEFAULT_EXPANSION = 10  # sub-samples per record under a stochastic indoor model
 
@@ -228,9 +230,8 @@ def sample_indoor_temps(
     return _draw_indoor_temps(model, np.array([stream_key], dtype=np.uint64), n)[0]
 
 
-def _record_stream_key(lsoa_id: str, category: DwellingCategory) -> int:
-    """Stable 64-bit key for a record identity; independent of list order."""
-    ident = f"{lsoa_id}|{category.form.value}|{category.heating.value}"
+def _stream_key(ident: str) -> int:
+    """Stable 64-bit key of a record identity, "lsoa|form|heating"; independent of row order."""
     return int.from_bytes(hashlib.blake2b(ident.encode(), digest_size=8).digest(), "big")
 
 
@@ -282,48 +283,47 @@ class SampleTable:
 
 
 def build_samples(
-    records: Sequence[DwellingRecord],
-    params_map: ParamsMap,
+    stock: StockTable | Iterable[DwellingRecord],
+    params: ThermalTable,
     spec: ScenarioSpec,
     expansion: int = DEFAULT_EXPANSION,
+    indoor: np.ndarray | None = None,
 ) -> SampleTable:
-    """Expand stock records into weighted evaluation samples.
+    """Expand the live stock rows into weighted evaluation samples.
 
-    Under a fixed indoor model one sample per record suffices, since every
-    dwelling in a record is identical. Under the stochastic model each record
-    becomes `expansion` consecutive sub-samples of equal weight with
-    independent temperature draws from the record's own stream.
+    params must have been derived from this stock (MissingParamsError
+    otherwise). Under a fixed indoor model one sample per row suffices,
+    since every dwelling in a row is identical. Under the stochastic model
+    each row becomes `expansion` consecutive sub-samples of equal weight with
+    independent temperature draws from the row's own stream. indoor, if
+    given, is the indoor column of an earlier call on the same stock with the
+    same indoor model and expansion, used instead of drawing again.
     """
     if expansion < 1:
         raise ConfigError(f"expansion factor must be >= 1, got {expansion}")
-    live = [r for r in records if not r.skippable]
-    params = []
-    for record in live:
-        p = params_map.get((record.lsoa_id, record.category))
-        if p is None:
-            raise MissingParamsError(
-                f"no derived parameters for ({record.lsoa_id}, {record.category.label()})"
-            )
-        params.append(p)
-    codes: dict[str, int] = {}
-    columns = [
-        np.array([codes.setdefault(r.lsoa_id, len(codes)) for r in live], dtype=np.intp),
-        np.array([r.count for r in live], dtype=float) * spec.uptake_fraction,
-        np.array([p.heat_loss for p in params], dtype=float),
-        np.array([p.capacitance for p in params], dtype=float),
-        np.array([p.hp_size_thermal for p in params], dtype=float),
-    ]
+    stock = as_stock_table(stock)
+    rows = params.live_rows_of(stock)
+    # LSOA codes renumbered in order of first appearance among the live rows
+    present, first, inverse = np.unique(stock.lsoa_code[rows], return_index=True,
+                                        return_inverse=True)
+    order = np.argsort(first)
+    lsoa_ids = tuple(stock.lsoa_ids[c] for c in present[order].tolist())
+    columns = [np.argsort(order)[inverse], stock.count[rows].astype(float) * spec.uptake_fraction,
+               params.heat_loss, params.capacitance, params.hp_size]
     model = spec.indoor_model
     if isinstance(model, FixedIndoor):
-        indoor = np.full(len(live), model.temp, dtype=float)
+        if indoor is None:
+            indoor = np.full(len(rows), model.temp, dtype=float)
     else:
-        keys = np.array([_record_stream_key(r.lsoa_id, r.category) for r in live],
-                        dtype=np.uint64)
-        indoor = _draw_indoor_temps(model, keys, expansion).ravel()
+        if indoor is None:
+            idents = [f"{c.form.value}|{c.heating.value}" for c in CATEGORIES]
+            keys = np.array([_stream_key(f"{lsoa_id}|{idents[k]}")
+                             for lsoa_id, k in stock.keys(rows)], dtype=np.uint64)
+            indoor = _draw_indoor_temps(model, keys, expansion).ravel()
         columns[1] = columns[1] / expansion
         columns = [np.repeat(c, expansion) for c in columns]
     code, weight, heat_loss, capacitance, hp_size = columns
-    return SampleTable(tuple(codes), code, weight, indoor, heat_loss, capacitance, hp_size)
+    return SampleTable(lsoa_ids, code, weight, indoor, heat_loss, capacitance, hp_size)
 
 
 ZERO, FINITE, UNBOUNDED, FAILED = range(4)  # codes of ScenarioRun.kind
@@ -425,7 +425,7 @@ def _failure(samples: SampleTable, i: int, spec: ScenarioSpec, direction: Direct
 
 
 def run_sweep(
-    records: Sequence[DwellingRecord],
+    stock: StockTable | Iterable[DwellingRecord],
     regions: RegionTable,
     specs: Sequence[ScenarioSpec],
     direction: Direction,
@@ -433,38 +433,44 @@ def run_sweep(
 ) -> Iterator[ScenarioRun]:
     """Yield one run per spec, in order, reusing what consecutive specs share.
 
-    Parameters depend only on (capacity_level, stock_variant), and samples
-    only on the parameters and (indoor_model, uptake_fraction), so each is
-    rebuilt only when those differ from the previous spec: an outdoor sweep
-    derives and draws once. Draws are keyed by record identity and seed, so
-    reuse never changes a run. The parameters are released before the last
-    run is yielded; its samples stay with the run the caller holds.
+    Parameters depend only on (capacity_level, stock_variant), indoor
+    temperatures only on the indoor model, and samples on both plus the
+    uptake fraction, so each is rebuilt only when those differ from the
+    previous spec: an outdoor sweep derives and draws once, and a capacity
+    sweep or a retrofit pair draws once and swaps the parameter columns.
+    Draws are keyed by record identity and seed, so reuse never changes a
+    run. The parameters are released before the last run is yielded; its
+    samples stay with the run the caller holds.
     """
     if not specs:
         raise ConfigError("a sweep needs at least one scenario")
-    params = samples = params_key = samples_key = None
+    stock = as_stock_table(stock)
+    params = samples = indoor = params_key = samples_key = None
     for i, spec in enumerate(specs):
         key = (spec.capacity_level, spec.stock_variant)
-        if key != params_key:
-            params = samples = None  # free the old ones before building new ones
-            params, params_key = derive_all(records, regions, *key), key
-        draw_key = (params_key, spec.indoor_model, spec.uptake_fraction)
-        if draw_key != samples_key:
-            samples = None
-            samples, samples_key = build_samples(records, params, spec, expansion), draw_key
+        if (key, spec.indoor_model, spec.uptake_fraction) != samples_key:
+            if samples_key and spec.indoor_model != samples_key[1]:
+                indoor = None  # temperatures are reused only under the same indoor model
+            samples = None  # free the old samples (all but their temperatures) first
+            if key != params_key:
+                params = None
+                params, params_key = derive_all(stock, regions, *key), key
+            samples_key = (key, spec.indoor_model, spec.uptake_fraction)
+            samples = build_samples(stock, params, spec, expansion, indoor)
+            indoor = samples.indoor_temp
         run = run_scenario(samples, spec, direction)
         if i == len(specs) - 1:
-            params = samples = None
+            params = samples = indoor = None
         yield run
         run = None  # the caller owns it now; do not keep it through the next spec
 
 
 def run_stock_scenario(
-    records: Sequence[DwellingRecord],
+    stock: StockTable | Iterable[DwellingRecord],
     regions: RegionTable,
     spec: ScenarioSpec,
     direction: Direction,
     expansion: int = DEFAULT_EXPANSION,
 ) -> ScenarioRun:
     """Derive parameters, build samples and run one scenario: a one-spec sweep."""
-    return next(run_sweep(records, regions, [spec], direction, expansion))
+    return next(run_sweep(stock, regions, [spec], direction, expansion))

@@ -3,16 +3,24 @@
 The stock table has one row per (LSOA, dwelling category) with a dwelling
 count, average annual heat demands before/after energy efficiency measures
 (kWh/year per dwelling) and average floor area (m2 per dwelling).
+
+The stock is held as columns, one numpy array per field, in a `StockTable`:
+`load_stock` reads the CSV into per-column lists and checks whole columns at
+once, and `winsorize_stock` clips per category with array expressions. A
+`DwellingRecord` is one row, as `synth`, `write_stock` and iterating a table
+hand it out. Invalid rows are reported for the first row that fails, with
+the message a row-by-row reader would give.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -91,6 +99,31 @@ class DwellingCategory:
         return f"{self.form.value}/{self.heating.value}"
 
 
+CATEGORIES = DwellingCategory.all()  # a table's category_code indexes this tuple
+CATEGORY_CODE = {category: code for code, category in enumerate(CATEGORIES)}
+
+# Record invariants in the order they are checked: (violated(count, before,
+# after, floor_area), message). The expressions hold for scalars and for
+# columns alike, so DwellingRecord checks one row and load_stock whole
+# columns with the same rules; zero-count rows are exempt from all but the first.
+_INVARIANTS = (
+    (lambda n, b, a, f: n < 0, "{lsoa}: negative dwelling count {count}"),
+    (lambda n, b, a, f: (n > 0) & (b <= 0), "{key}: heat demand (before) must be > 0"),
+    (lambda n, b, a, f: (n > 0) & (a <= 0), "{key}: heat demand (after) must be > 0"),
+    (lambda n, b, a, f: (n > 0) & (a > b),
+     "{key}: heat demand after efficiency measures exceeds the demand before them"),
+    (lambda n, b, a, f: (n > 0) & (f <= 0), "{key}: floor area must be > 0"),
+)
+
+
+def _check_record(lsoa_id, category, count, before, after, floor_area) -> None:
+    """Raise DataValidationError for the first invariant one row violates."""
+    for violated, message in _INVARIANTS:
+        if violated(count, before, after, floor_area):
+            raise DataValidationError(message.format(
+                lsoa=lsoa_id, key=f"{lsoa_id}/{category.label()}", count=count))
+
+
 @dataclass(frozen=True)
 class DwellingRecord:
     """One (LSOA, category) row of the stock dataset.
@@ -107,31 +140,67 @@ class DwellingRecord:
     floor_area: float
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise DataValidationError(f"{self.lsoa_id}: negative dwelling count {self.count}")
-        if self.count > 0:
-            if self.annual_heat_demand_before <= 0:
-                raise DataValidationError(
-                    f"{self.lsoa_id}/{self.category.label()}: heat demand (before) must be > 0"
-                )
-            if self.annual_heat_demand_after <= 0:
-                raise DataValidationError(
-                    f"{self.lsoa_id}/{self.category.label()}: heat demand (after) must be > 0"
-                )
-            if self.annual_heat_demand_after > self.annual_heat_demand_before:
-                raise DataValidationError(
-                    f"{self.lsoa_id}/{self.category.label()}: heat demand after efficiency "
-                    f"measures exceeds the demand before them"
-                )
-            if self.floor_area <= 0:
-                raise DataValidationError(
-                    f"{self.lsoa_id}/{self.category.label()}: floor area must be > 0"
-                )
+        _check_record(self.lsoa_id, self.category, self.count, self.annual_heat_demand_before,
+                      self.annual_heat_demand_after, self.floor_area)
 
     @property
     def skippable(self) -> bool:
         """True for zero-population rows, which downstream stages ignore."""
         return self.count == 0
+
+
+@dataclass(frozen=True, eq=False)
+class StockTable:
+    """The stock as parallel columns, one row per (LSOA, category) record, in file order.
+
+    lsoa_code indexes lsoa_ids, the distinct LSOAs in order of first
+    appearance, and category_code indexes CATEGORIES. Zero-count rows are
+    kept (len counts them); the live rows are those with count > 0.
+    Iterating yields the rows as DwellingRecords.
+    """
+
+    lsoa_ids: tuple[str, ...]
+    lsoa_code: np.ndarray  # intp, index into lsoa_ids
+    category_code: np.ndarray  # int8, index into CATEGORIES
+    count: np.ndarray  # int64, dwellings
+    demand_before: np.ndarray  # kWh/year per dwelling, before efficiency measures
+    demand_after: np.ndarray  # kWh/year per dwelling, after them
+    floor_area: np.ndarray  # m2 per dwelling
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    def __iter__(self) -> Iterator[DwellingRecord]:
+        ids = self.lsoa_ids
+        for code, category, *values in zip(
+            self.lsoa_code.tolist(), self.category_code.tolist(), self.count.tolist(),
+            self.demand_before.tolist(), self.demand_after.tolist(), self.floor_area.tolist(),
+        ):
+            yield DwellingRecord(ids[code], CATEGORIES[category], *values)
+
+    def live_rows(self) -> np.ndarray:
+        """Indices of the rows with count > 0, in row order."""
+        return np.flatnonzero(self.count > 0)
+
+    def keys(self, rows: np.ndarray) -> list[tuple[str, int]]:
+        """(LSOA id, category code) of each of the given rows."""
+        return list(zip(map(self.lsoa_ids.__getitem__, self.lsoa_code[rows].tolist()),
+                        self.category_code[rows].tolist()))
+
+    @staticmethod
+    def from_records(records: Iterable[DwellingRecord]) -> "StockTable":
+        lsoas: dict[str, int] = {}
+        rows = [(lsoas.setdefault(r.lsoa_id, len(lsoas)), CATEGORY_CODE[r.category], r.count,
+                 r.annual_heat_demand_before, r.annual_heat_demand_after, r.floor_area)
+                for r in records]
+        code, category, count, *values = zip(*rows) if rows else [()] * 6
+        return StockTable(tuple(lsoas), np.array(code, np.intp), np.array(category, np.int8),
+                          np.array(count, np.int64), *(np.array(v, float) for v in values))
+
+
+def as_stock_table(stock: StockTable | Iterable[DwellingRecord]) -> StockTable:
+    """The stock as a StockTable, converting a sequence of records once."""
+    return stock if isinstance(stock, StockTable) else StockTable.from_records(stock)
 
 
 # Logical field -> default CSV column name. A schema mapping passed to
@@ -161,61 +230,109 @@ def load_stock(
     path: str | Path,
     schema: Mapping[str, str] | None = None,
     delimiter: str = ",",
-) -> list[DwellingRecord]:
-    """Parse a delimited stock table into DwellingRecords, preserving row order.
+) -> StockTable:
+    """Parse a delimited stock table into a StockTable, preserving row order.
 
     Raises SchemaError for missing columns, ParseError (with the 1-based data
-    row number) for bad cells and DuplicateRecordError for repeated
-    (lsoa_id, category) keys.
+    row number) for bad or non-finite cells, DataValidationError for a row
+    that breaks a record invariant and DuplicateRecordError for a repeated
+    (lsoa_id, category) key. Whole columns are checked at once; the error is
+    the one a row-by-row reader would raise at the first row that fails.
     """
     cols = _resolve_schema(schema)
-    records: list[DwellingRecord] = []
-    seen: set[tuple[str, DwellingCategory]] = set()
+    lsoas: dict[str, int] = {}
+    categories: dict[tuple[str, str], int] = {}  # raw (form, heating) cells -> code, -1 if unknown
+    lsoa_code, category_code, *cells = [[] for _ in range(6)]  # cells: the four number columns
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh, delimiter=delimiter)
+        header = next(reader, [])
         missing = [c for c in cols.values() if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
-        for row_no, row in enumerate(reader, start=1):
-            try:
-                category = DwellingCategory.parse(row[cols["form"]], row[cols["heating"]])
-                record = DwellingRecord(
-                    lsoa_id=row[cols["lsoa_id"]].strip(),
-                    category=category,
-                    count=_parse_int(row[cols["count"]]),
-                    annual_heat_demand_before=_parse_float(row[cols["annual_heat_demand_before"]]),
-                    annual_heat_demand_after=_parse_float(row[cols["annual_heat_demand_after"]]),
-                    floor_area=_parse_float(row[cols["floor_area"]]),
-                )
-            except (ParseError, ValueError) as exc:
-                raise ParseError(f"{path}: row {row_no}: {exc}") from exc
-            key = (record.lsoa_id, record.category)
-            if key in seen:
-                raise DuplicateRecordError(
-                    f"{path}: row {row_no}: duplicate record for "
-                    f"({record.lsoa_id}, {record.category.label()})"
-                )
-            seen.add(key)
-            records.append(record)
-    return records
+        position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+        at = [position[cols[f]] for f in cols]
+        lsoa_at, form_at, heating_at, count_at, before_at, after_at, area_at = at
+        counts, befores, afters, areas = cells
+        width = max(at) + 1
+        for row in filter(None, reader):  # a blank line is not a row
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            lsoa_code.append(lsoas.setdefault(row[lsoa_at].strip(), len(lsoas)))
+            pair = (row[form_at], row[heating_at])
+            if pair not in categories:
+                categories[pair] = _category_code(*pair)
+            category_code.append(categories[pair])
+            counts.append(row[count_at])
+            befores.append(row[before_at])
+            afters.append(row[after_at])
+            areas.append(row[area_at])
+
+    count, before, after, area = numbers = [_parse_column(c) for c in cells]
+    lsoa_code, category_code = np.array(lsoa_code, np.intp), np.array(category_code, np.int8)
+    bad = (category_code < 0) | ~_is_count(count)
+    for column in numbers[1:]:
+        bad |= ~np.isfinite(column)
+    for violated, _ in _INVARIANTS:
+        bad |= violated(*numbers)
+    _, first = np.unique(lsoa_code * len(CATEGORIES) + category_code, return_index=True)
+    duplicate = np.ones(len(bad), dtype=bool)
+    duplicate[first] = False
+    if (bad | duplicate).any():
+        i = int(np.argmax(bad | duplicate))
+        # the first unknown (form, heating) pair is the first failing row's, if it has one
+        pair = (next(p for p, code in categories.items() if code < 0) if category_code[i] < 0
+                else (CATEGORIES[category_code[i]].form.value,
+                      CATEGORIES[category_code[i]].heating.value))
+        raise _row_error(f"{path}: row {i + 1}: ", list(lsoas)[lsoa_code[i]], *pair,
+                         *(c[i] for c in cells))
+    return StockTable(tuple(lsoas), lsoa_code, category_code, count.astype(np.int64),
+                      before, after, area)
 
 
-def _parse_float(cell: str) -> float:
+def _category_code(form: str, heating: str) -> int:
+    try:
+        return CATEGORY_CODE[DwellingCategory.parse(form, heating)]
+    except ParseError:
+        return -1
+
+
+def _number(cell: str) -> float:
+    """float(cell), or nan for a cell that is not a number."""
     try:
         return float(cell)
-    except (TypeError, ValueError):
-        raise ParseError(f"expected a number, got {cell!r}") from None
+    except ValueError:
+        return math.nan
 
 
-def _parse_int(cell: str) -> int:
+def _parse_column(cells: list[str]) -> np.ndarray:
     try:
-        value = float(cell)
-    except (TypeError, ValueError):
-        raise ParseError(f"expected an integer, got {cell!r}") from None
-    if value != int(value):
-        raise ParseError(f"expected an integer, got {cell!r}")
-    return int(value)
+        return np.array(cells, dtype=float)  # numpy parses each cell as float() does
+    except ValueError:
+        return np.array([_number(c) for c in cells], dtype=float)
+
+
+def _is_count(values):
+    """True where a value is an integer that fits a dwelling count column (int64)."""
+    return np.isfinite(values) & (values == np.trunc(values)) & (np.abs(values) < 2.0**63)
+
+
+def _row_error(prefix, lsoa_id, form, heating, count, *cells) -> DataValidationError:
+    """The error a row-by-row reader raises at a row the column checks marked bad."""
+    try:
+        category = DwellingCategory.parse(form, heating)
+        if not _is_count(_number(count)):
+            raise ParseError(f"expected an integer, got {count!r}")
+        for cell in cells:
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"expected a number, got {cell!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(f"expected a finite number, got {cell!r}")
+        _check_record(lsoa_id, category, int(_number(count)), *map(float, cells))
+    except DataValidationError as exc:  # ParseError included
+        return type(exc)(prefix + str(exc))
+    return DuplicateRecordError(f"{prefix}duplicate record for ({lsoa_id}, {category.label()})")
 
 
 def write_stock(
@@ -228,12 +345,7 @@ def write_stock(
     cols = _resolve_schema(schema)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(
-            [cols[f] for f in (
-                "lsoa_id", "form", "heating", "count",
-                "annual_heat_demand_before", "annual_heat_demand_after", "floor_area",
-            )]
-        )
+        writer.writerow([cols[f] for f in DEFAULT_STOCK_SCHEMA])
         for r in records:
             writer.writerow([
                 r.lsoa_id,
@@ -246,20 +358,17 @@ def write_stock(
             ])
 
 
-_CLIPPED_FIELDS = ("annual_heat_demand_before", "annual_heat_demand_after", "floor_area")
-
-
 def winsorize_stock(
-    records: Sequence[DwellingRecord],
+    stock: StockTable | Iterable[DwellingRecord],
     lower_pct: float = 0.01,
     upper_pct: float = 0.99,
-) -> list[DwellingRecord]:
+) -> StockTable:
     """Clip outliers per dwelling category across all LSOAs.
 
-    For each category and each of the heat-demand/floor-area fields, values
+    For each category and each of the heat-demand/floor-area columns, values
     beyond the lower/upper percentile (linear interpolation between order
     statistics, one record = one sample) are replaced by the percentile value.
-    Counts and record order are unchanged. Zero-count rows neither contribute
+    Counts and row order are unchanged. Zero-count rows neither contribute
     to the percentile estimate nor get clipped. Categories with fewer than two
     contributing records pass through with a warning.
     """
@@ -267,30 +376,20 @@ def winsorize_stock(
         raise DomainError(
             f"invalid percentile bounds ({lower_pct}, {upper_pct}); need 0 <= lo < hi <= 1"
         )
-
-    by_category: dict[DwellingCategory, list[int]] = {}
-    for i, record in enumerate(records):
-        if not record.skippable:
-            by_category.setdefault(record.category, []).append(i)
-
-    out = list(records)
-    for category, idxs in by_category.items():
-        if len(idxs) < 2:
+    stock = as_stock_table(stock)
+    live = stock.count > 0
+    columns = {f: getattr(stock, f).copy() for f in ("demand_before", "demand_after", "floor_area")}
+    present, first = np.unique(stock.category_code[live], return_index=True)
+    for code in present[np.argsort(first)].tolist():  # in order of first appearance
+        rows = np.flatnonzero(live & (stock.category_code == code))
+        if len(rows) < 2:
             warnings.warn(
-                f"category {category.label()}: {len(idxs)} record(s), outlier clipping skipped",
+                f"category {CATEGORIES[code].label()}: {len(rows)} record(s), "
+                f"outlier clipping skipped",
                 stacklevel=2,
             )
             continue
-        bounds = {}
-        for field in _CLIPPED_FIELDS:
-            values = np.array([getattr(records[i], field) for i in idxs], dtype=float)
-            lo, hi = np.percentile(values, [lower_pct * 100, upper_pct * 100])
-            bounds[field] = (float(lo), float(hi))
-        for i in idxs:
-            clipped = {
-                field: min(max(getattr(records[i], field), lo), hi)
-                for field, (lo, hi) in bounds.items()
-            }
-            if any(clipped[f] != getattr(records[i], f) for f in _CLIPPED_FIELDS):
-                out[i] = replace(records[i], **clipped)
-    return out
+        for values in columns.values():
+            lo, hi = np.percentile(values[rows], [lower_pct * 100, upper_pct * 100])
+            values[rows] = np.minimum(np.maximum(values[rows], lo), hi)
+    return replace(stock, **columns)

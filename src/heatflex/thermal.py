@@ -9,19 +9,30 @@ Three quantities per (LSOA, category) record:
 Heating degree days are published per region in C*days; the heat-loss
 formula consumes degree hours, hence the fixed *24 conversion. Units here
 stay in kW and kJ; the transient core converts to W and J at its boundary.
+
+`derive_all` computes the three quantities for every live row of a stock at
+once and returns a `ThermalTable` of columns. It does the float operations
+of the scalar functions below in the same order, so each row equals what
+they return for it; they stay as the reference that tests check it against,
+and they word the error for the first row outside their domain.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DomainError, MissingParamsError
 from .regions import RegionTable
-from .stock import DwellingCategory, DwellingRecord
+from .stock import (CATEGORIES, CATEGORY_CODE, DwellingCategory, DwellingRecord, StockTable,
+                    as_stock_table)
 
 HOURS_PER_DAY = 24.0  # degree days -> degree hours
 
@@ -106,53 +117,97 @@ def size_heat_pump(
     return (indoor_design_temp - design_temp) * heat_loss
 
 
-ParamsMap = dict[tuple[str, DwellingCategory], ThermalParams]
+@dataclass(frozen=True, eq=False)
+class ThermalTable(Mapping):
+    """Derived parameters of a stock's live rows (count > 0), as columns.
+
+    Row j holds the parameters of stock row rows[j]. The table is also a
+    read-only mapping from (lsoa_id, category) to ThermalParams, for callers
+    that look records up one at a time; its index is built on the first lookup.
+    """
+
+    stock: StockTable  # the stock the parameters were derived from
+    rows: np.ndarray  # indices of its live rows, in row order
+    heat_loss: np.ndarray  # kW/C
+    capacitance: np.ndarray  # kJ/K
+    hp_size: np.ndarray  # kW thermal output at design conditions
+    design_temp: np.ndarray  # C, regional outdoor design temperature
+    indoor_design_temp: float = DEFAULT_INDOOR_DESIGN_TEMP
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[tuple[str, DwellingCategory]]:
+        return ((lsoa_id, CATEGORIES[code]) for lsoa_id, code in self.stock.keys(self.rows))
+
+    def __getitem__(self, key: tuple[str, DwellingCategory]) -> ThermalParams:
+        j = self._index[(key[0], CATEGORY_CODE[key[1]])]
+        return ThermalParams(float(self.heat_loss[j]), float(self.capacitance[j]),
+                             float(self.hp_size[j]), float(self.design_temp[j]),
+                             self.indoor_design_temp)
+
+    @cached_property
+    def _index(self) -> dict[tuple[str, int], int]:
+        return {key: j for j, key in enumerate(self.stock.keys(self.rows))}
+
+    def live_rows_of(self, stock: StockTable) -> np.ndarray:
+        """The live rows of stock; MissingParamsError unless they are the rows derived here."""
+        rows = stock.live_rows()
+        if stock is not self.stock and stock.keys(rows) != self.stock.keys(self.rows):
+            raise MissingParamsError("the thermal parameters were not derived from this stock")
+        return rows
 
 
 def derive_all(
-    records: Sequence[DwellingRecord],
+    stock: StockTable | Iterable[DwellingRecord],
     regions: RegionTable,
     level: CapacityLevel = CapacityLevel.MEDIUM,
     variant: StockVariant = StockVariant.BEFORE_EE,
     indoor_design_temp: float = DEFAULT_INDOOR_DESIGN_TEMP,
-) -> ParamsMap:
-    """Derive ThermalParams for every record with count > 0.
+) -> ThermalTable:
+    """Derive the thermal parameters of every row with count > 0.
 
     The stock variant selects which annual heat demand drives the heat loss;
     under AFTER_EE the heat pump is resized from the reduced heat loss while
-    the capacitance (floor area based) is unchanged.
+    the capacitance (floor area based) is unchanged. Degree days and design
+    temperature are looked up once per distinct LSOA. A row outside the
+    domain of the scalar functions raises their DomainError, for the first
+    such row.
     """
-    regions.validate_lsoas(r.lsoa_id for r in records if not r.skippable)
-    out: ParamsMap = {}
-    for record in records:
-        if record.skippable:
-            continue
-        info = regions.info_for_lsoa(record.lsoa_id)
-        demand = (
-            record.annual_heat_demand_before
-            if variant is StockVariant.BEFORE_EE
-            else record.annual_heat_demand_after
-        )
+    stock = as_stock_table(stock)
+    rows = stock.live_rows()
+    lsoa = stock.lsoa_code[rows]
+    used, first = np.unique(lsoa, return_index=True)
+    used = used[np.argsort(first)].tolist()  # in order of first appearance
+    regions.validate_lsoas(stock.lsoa_ids[c] for c in used)
+    climate = np.zeros((len(stock.lsoa_ids), 2))  # (degree days, design temperature) per LSOA
+    for c in used:
+        info = regions.info_for_lsoa(stock.lsoa_ids[c])
+        climate[c] = info.heating_degree_days, info.design_temp
+    hdd, design = climate[lsoa].T
+    demand = (stock.demand_before if variant is StockVariant.BEFORE_EE
+              else stock.demand_after)[rows]
+    area = stock.floor_area[rows]
+    with np.errstate(all="ignore"):  # rows outside the domain are reported below
+        ql = demand / (hdd * HOURS_PER_DAY)
+        cap = area * level.specific_capacity
+        size = (indoor_design_temp - design) * ql
+    bad = (demand <= 0) | (hdd <= 0) | (area <= 0) | (indoor_design_temp <= design) | (ql <= 0)
+    if bad.any():
+        j = int(np.argmax(bad))
         try:
-            ql = heat_loss_coefficient(demand, info.heating_degree_days)
-            cap = thermal_capacity(record.floor_area, level)
-            size = size_heat_pump(ql, info.design_temp, indoor_design_temp)
+            heat_loss = heat_loss_coefficient(float(demand[j]), float(hdd[j]))
+            thermal_capacity(float(area[j]), level)
+            size_heat_pump(heat_loss, float(design[j]), indoor_design_temp)
         except DomainError as exc:
-            raise DomainError(
-                f"({record.lsoa_id}, {record.category.label()}): {exc}"
-            ) from exc
-        out[(record.lsoa_id, record.category)] = ThermalParams(
-            heat_loss=ql,
-            capacitance=cap,
-            hp_size_thermal=size,
-            design_temp=info.design_temp,
-            indoor_design_temp=indoor_design_temp,
-        )
-    return out
+            lsoa_id, code = stock.keys(rows[j:j + 1])[0]
+            raise DomainError(f"({lsoa_id}, {CATEGORIES[code].label()}): {exc}") from exc
+        raise AssertionError(f"live row {j} is outside the domain of derive_all only")
+    return ThermalTable(stock, rows, ql, cap, size, design, indoor_design_temp)
 
 
 def total_installed_thermal_kw(
-    records: Sequence[DwellingRecord], params: ParamsMap
+    records: Iterable[DwellingRecord], params: ThermalTable
 ) -> float:
     """National installed heat pump capacity, kW thermal = sum(count * size)."""
     total = 0.0
@@ -167,29 +222,22 @@ def total_installed_thermal_kw(
 
 
 def write_params_csv(
-    records: Sequence[DwellingRecord],
-    params: ParamsMap,
+    stock: StockTable | Iterable[DwellingRecord],
+    params: ThermalTable,
     path: str | Path,
 ) -> None:
-    """Export derived parameters, one row per record with count > 0."""
+    """Export derived parameters, one row per stock row with count > 0."""
+    stock = as_stock_table(stock)
+    rows = params.live_rows_of(stock)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["lsoa_id", "form", "heating", "count", "ql_kw_per_c", "c_kj_per_k", "hp_kw"]
         )
-        for record in records:
-            if record.skippable:
-                continue
-            key = (record.lsoa_id, record.category)
-            if key not in params:
-                raise MissingParamsError(f"no derived parameters for {key}")
-            p = params[key]
-            writer.writerow([
-                record.lsoa_id,
-                record.category.form.value,
-                record.category.heating.value,
-                record.count,
-                repr(p.heat_loss),
-                repr(p.capacitance),
-                repr(p.hp_size_thermal),
-            ])
+        for (lsoa_id, code), count, *values in zip(
+            stock.keys(rows), stock.count[rows].tolist(), params.heat_loss.tolist(),
+            params.capacitance.tolist(), params.hp_size.tolist(),
+        ):
+            category = CATEGORIES[code]
+            writer.writerow([lsoa_id, category.form.value, category.heating.value, count,
+                             *map(repr, values)])

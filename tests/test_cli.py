@@ -1,5 +1,6 @@
 """Command line flows and exit-code contract."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from heatflex import load_stock
+from heatflex import default_regions_path, load_stock
 from heatflex.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 SCENARIO_FIXED = """\
@@ -291,6 +292,79 @@ def test_tracer_runs_every_workload(tmp_path, monkeypatch):
         assert trace["exit_code"] == EXIT_OK
         assert trace["missing"] == [], workload.name
         shutil.rmtree("out")
+
+
+def _load_perfbench_module(name, monkeypatch):
+    """perfbench/<name>.py, loaded as _load_benchmark_runner loads run.py; the
+    modules it imports by bare name (run, checks) are registered for this test only."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    for dependency in ("run", "checks"):
+        spec = importlib.util.spec_from_file_location(dependency, perfbench / f"{dependency}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, dependency, module)
+        spec.loader.exec_module(module)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", perfbench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_setup_and_checks_run(tmp_path, monkeypatch):
+    # the benchmark's worker writes each workload's inputs and reference
+    # values through the library API, then checks the CLI's exports against
+    # them; a failure in either counts as a failed benchmark run
+    worker = _load_perfbench_module("worker", monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    for workload in worker.WORKLOADS.values():
+        small = dataclasses.replace(workload, dwellings=2000)
+        reference = worker.set_up(small, 5, tmp_path)
+        assert reference["installed_w"] > 0 and reference["samples"] > 0
+        assert main(small.argv()) == EXIT_OK, workload.name
+        problems, _ = worker.check_outputs(small, tmp_path / "out", reference)
+        assert problems == [], workload.name
+        shutil.rmtree(tmp_path / "out")
+
+
+def _set_cell(path, row, column, value):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[row].split(",")
+    cells[column] = value
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return cells
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (3, "inf", "expected an integer, got 'inf'"),
+    (4, "nan", "expected a finite number, got 'nan'"),
+    (6, "inf", "expected a finite number, got 'inf'"),
+    (3, "-1", "{lsoa}: negative dwelling count -1"),
+])
+def test_bad_stock_number_exits_2_naming_file_and_row(workspace, capsys, column, value, message):
+    stock = workspace / "stock.csv"
+    cells = _set_cell(stock, 5, column, value)
+    out = workspace / "bad"
+    code = main(["flex", "--stock", str(stock), "--lookup", str(workspace / "stock_lookup.csv"),
+                 "--scenario", str(workspace / "scenario.ini"), "--direction", "neg",
+                 "--out", str(out)])
+    assert code == EXIT_DATA
+    expected = f"heatflex: data error: {stock}: row 5: " + message.format(lsoa=cells[0])
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column, value", [(1, "nan"), (2, "-inf")])
+def test_non_finite_region_exits_2_naming_file_and_row(workspace, capsys, column, value):
+    regions = workspace / "regions.csv"
+    shutil.copyfile(default_regions_path(), regions)
+    _set_cell(regions, 3, column, value)
+    code = main(["flex", "--stock", str(workspace / "stock.csv"), "--regions", str(regions),
+                 "--lookup", str(workspace / "stock_lookup.csv"),
+                 "--scenario", str(workspace / "scenario.ini"), "--direction", "neg",
+                 "--level", "region", "--out", str(workspace / "bad")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        f"heatflex: data error: {regions}: row 3: non-finite cell"]
 
 
 def test_retrofit_compare_flow(workspace):

@@ -1,5 +1,6 @@
 """Scenario engine: sampling, determinism, sweeps and scaling laws."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -35,6 +36,7 @@ from heatflex import scenario
 from heatflex.scenario import FAILED
 
 from conftest import (
+    GAS_FLAT,
     concat_runs,
     make_record,
     make_region_table,
@@ -148,6 +150,12 @@ def test_philox_uniforms_equal_generator(keys, n):
     assert np.array_equal(got, reference_uniforms(keys, n))
 
 
+def record_stream_key(lsoa_id, category):
+    """A record's stream key: blake2b-64 of its identity, big-endian."""
+    ident = f"{lsoa_id}|{category.form.value}|{category.heating.value}"
+    return int.from_bytes(hashlib.blake2b(ident.encode(), digest_size=8).digest(), "big")
+
+
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
 def test_draws_equal_per_record_generators(small_stock, seed):
     # the loop the vectorised path replaced, kept as the reference: one
@@ -167,7 +175,7 @@ def test_draws_equal_per_record_generators(small_stock, seed):
     samples = build_samples(records, derive_all(records, table),
                             spec_at(5.0, indoor_model=model), expansion=7)
     want = np.concatenate([
-        reference(scenario._record_stream_key(r.lsoa_id, r.category), 7) for r in live
+        reference(record_stream_key(r.lsoa_id, r.category), 7) for r in live
     ])
     assert np.array_equal(samples.indoor_temp, want)
 
@@ -202,10 +210,30 @@ def test_build_samples_stochastic_expansion():
 
 
 def test_build_samples_empty_and_missing_params():
-    assert len(build_samples([], {}, spec_at(5.0))) == 0
-    record, _, _ = one_record_setup()
-    with pytest.raises(MissingParamsError):
-        build_samples([record], {}, spec_at(5.0))
+    record, table, params = one_record_setup()
+    assert len(build_samples([], derive_all([], table), spec_at(5.0))) == 0
+    # parameters derived from another stock are refused: a live row without
+    # parameters, parameters without a live row, or another record's
+    flat = make_record(category=GAS_FLAT)
+    for stock in ([record, flat], [], [flat], [make_record(lsoa_id="E01000002")]):
+        with pytest.raises(MissingParamsError):
+            build_samples(stock, params, spec_at(5.0))
+    # zero-count rows carry no parameters and need none
+    ghost = make_record(category=GAS_FLAT, count=0)
+    assert len(build_samples([ghost, record], params, spec_at(5.0))) == 1
+
+
+def test_build_samples_numbers_lsoas_by_first_live_row():
+    # a zero-count row puts E01000002 first in the stock; the samples list
+    # the LSOAs in order of their first live row, as a loop over records does
+    a, b = "E01000001", "E01000002"
+    records = [make_record(lsoa_id=b, count=0), make_record(lsoa_id=a),
+               make_record(lsoa_id=b, category=GAS_FLAT, floor_area=60.0)]
+    table = make_region_table({a: ("Wales", "Cardiff"), b: ("London", "Camden")})
+    samples = build_samples(records, derive_all(records, table), spec_at(5.0))
+    assert samples.lsoa_ids == (a, b)
+    assert [(s.lsoa_id, s.capacitance) for s in samples_of(samples)] == [
+        (a, 25000.0), (b, 15000.0)]
 
 
 def test_uptake_fraction_bounds():
@@ -456,19 +484,42 @@ def test_sweep_derives_and_draws_only_on_change(small_stock, monkeypatch):
                 indoor_model=FixedIndoor(20.0)),  # new samples
     ]
     expected = [run_stock_scenario(records, table, s, Direction.NEGATIVE) for s in specs]
-    calls = {"derive": 0, "samples": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(scenario, "derive_all", counted("derive", scenario.derive_all))
-    monkeypatch.setattr(scenario, "build_samples", counted("samples", scenario.build_samples))
+    calls = {"derive": 0, "samples": 0, "draws": 0}
+    monkeypatch.setattr(scenario, "derive_all", counted(calls, "derive", scenario.derive_all))
+    monkeypatch.setattr(scenario, "build_samples",
+                        counted(calls, "samples", scenario.build_samples))
+    monkeypatch.setattr(scenario, "_draw_indoor_temps",
+                        counted(calls, "draws", scenario._draw_indoor_temps))
     runs = list(run_sweep(records, table, specs, Direction.NEGATIVE))
-    assert calls == {"derive": 3, "samples": 5}
+    # the five specs with the seed-4 model share one set of draws
+    assert calls == {"derive": 3, "samples": 5, "draws": 1}
     assert len(runs) == len(expected)
+    assert all(runs_equal(r, e) for r, e in zip(runs, expected))
+
+
+def counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("capacity_level", list(CapacityLevel)),
+    ("stock_variant", [StockVariant.BEFORE_EE, StockVariant.AFTER_EE]),
+])
+def test_capacity_sweep_and_retrofit_pair_draw_once(small_stock, monkeypatch, axis, values):
+    # temperatures depend only on the records and the indoor model: a change
+    # of capacity or variant swaps the parameter columns without redrawing
+    records, table = small_stock
+    base = spec_at(5.0, indoor_model=TruncatedNormalIndoor(seed=8))
+    specs = [replace(base, **{axis: value}) for value in values]
+    expected = [run_stock_scenario(records, table, s, Direction.NEGATIVE) for s in specs]
+    calls = {"draws": 0}
+    monkeypatch.setattr(scenario, "_draw_indoor_temps",
+                        counted(calls, "draws", scenario._draw_indoor_temps))
+    runs = list(run_sweep(records, table, specs, Direction.NEGATIVE))
+    assert calls == {"draws": 1}
     assert all(runs_equal(r, e) for r, e in zip(runs, expected))
 
 

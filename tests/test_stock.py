@@ -1,8 +1,18 @@
 """Stock ingestion: CSV round trip, validation errors, winsorization."""
 
+import csv
+import tempfile
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatflex import (
+    CapacityLevel,
     DataValidationError,
     DomainError,
     DuplicateRecordError,
@@ -11,13 +21,20 @@ from heatflex import (
     DwellingRecord,
     HeatingSystem,
     ParseError,
+    RegionInfo,
+    RegionTable,
     SchemaError,
+    StockVariant,
+    derive_all,
+    heat_loss_coefficient,
     load_stock,
+    size_heat_pump,
+    thermal_capacity,
     winsorize_stock,
     write_stock,
 )
 
-from conftest import GAS_DETACHED, GAS_FLAT, make_record, percentile_by_hand
+from conftest import GAS_DETACHED, GAS_FLAT, make_record, make_region_table, percentile_by_hand
 
 HEADER = "lsoa_id,form,heating,count,heat_demand_before_kwh,heat_demand_after_kwh,floor_area_m2\n"
 
@@ -46,7 +63,7 @@ def test_load_stock_preserves_order(tmp_path):
         "E01000001,flat,resistance_heater,3,7000,5000,50\n",
         "E01000002,terraced,oil_boiler,0,0,0,0\n",
     ])
-    records = load_stock(path)
+    records = list(load_stock(path))
     assert len(records) == 3
     assert [r.lsoa_id for r in records] == ["E01000001", "E01000001", "E01000002"]
     assert records[0].category == GAS_DETACHED
@@ -100,12 +117,12 @@ def test_load_stock_custom_schema(tmp_path):
         "E01000001,detached,gas_boiler,5,12000,9000,110\n",
         encoding="utf-8",
     )
-    records = load_stock(path, schema={
+    records = list(load_stock(path, schema={
         "lsoa_id": "area", "form": "type", "heating": "fuel", "count": "n",
         "annual_heat_demand_before": "q_before",
         "annual_heat_demand_after": "q_after",
         "floor_area": "tfa",
-    })
+    }))
     assert records[0].floor_area == 110
 
 
@@ -132,7 +149,7 @@ def test_round_trip_identity(tmp_path):
     ]
     path = tmp_path / "out.csv"
     write_stock(records, path)
-    assert load_stock(path) == records
+    assert list(load_stock(path)) == records
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +166,7 @@ def stock_with_demands(demands, category=GAS_DETACHED):
 
 def test_winsorize_clamps_to_hand_computed_percentiles():
     demands = [float(i) for i in range(1, 101)]
-    out = winsorize_stock(stock_with_demands(demands), 0.01, 0.99)
+    out = list(winsorize_stock(stock_with_demands(demands), 0.01, 0.99))
 
     lo = percentile_by_hand(demands, 0.01)
     hi = percentile_by_hand(demands, 0.99)
@@ -166,14 +183,14 @@ def test_winsorize_clamps_to_hand_computed_percentiles():
 
 def test_winsorize_identical_values_noop():
     records = stock_with_demands([5000.0] * 20)
-    assert winsorize_stock(records) == records
+    assert list(winsorize_stock(records)) == records
 
 
 def test_winsorize_single_record_warns():
     records = stock_with_demands([5000.0])
     with pytest.warns(UserWarning, match="clipping skipped"):
         out = winsorize_stock(records)
-    assert out == records
+    assert list(out) == records
 
 
 def test_winsorize_preserves_counts_order_and_length():
@@ -189,8 +206,8 @@ def test_winsorize_idempotent_at_order_statistic_positions():
     # 101 records put the 1st/99th percentiles exactly on order statistics,
     # where repeated clipping is a fixed point.
     demands = [float(i) for i in range(1, 102)]
-    once = winsorize_stock(stock_with_demands(demands), 0.01, 0.99)
-    twice = winsorize_stock(once, 0.01, 0.99)
+    once = list(winsorize_stock(stock_with_demands(demands), 0.01, 0.99))
+    twice = list(winsorize_stock(once, 0.01, 0.99))
     assert twice == once
     assert max(r.annual_heat_demand_before for r in once) == 100.0
     assert min(r.annual_heat_demand_before for r in once) == 2.0
@@ -209,10 +226,10 @@ def test_winsorize_groups_per_category():
 def test_winsorize_skips_zero_count_rows():
     records = stock_with_demands([float(i) for i in range(1, 101)])
     ghost = DwellingRecord("E01999999", GAS_DETACHED, 0, 1e9, 1e9, 1e9)
-    out = winsorize_stock(records + [ghost])
+    out = list(winsorize_stock(records + [ghost]))
     # the ghost neither moves the bounds nor gets clipped
     assert out[-1] == ghost
-    assert out[:-1] == winsorize_stock(records)
+    assert out[:-1] == list(winsorize_stock(records))
 
 
 def test_winsorize_bad_bounds():
@@ -221,3 +238,197 @@ def test_winsorize_bad_bounds():
         winsorize_stock(records, 0.5, 0.5)
     with pytest.raises(DomainError):
         winsorize_stock(records, -0.1, 0.9)
+
+
+# ---------------------------------------------------------------------------
+# the columnar path against the row-by-row reference
+# ---------------------------------------------------------------------------
+
+CATEGORIES = DwellingCategory.all()
+FORM_SPELLINGS = {
+    DwellingForm.DETACHED: ["detached", " Detached "],
+    DwellingForm.SEMI_DETACHED: ["semi_detached", "Semi-Detached", "semidetached"],
+    DwellingForm.TERRACED: ["terraced", "TERRACED"],
+    DwellingForm.FLAT: ["flat", "Flat "],
+}
+HEATING_SPELLINGS = {
+    HeatingSystem.GAS_BOILER: ["gas_boiler", "Gas Boiler", "gas"],
+    HeatingSystem.RESISTANCE_HEATER: ["resistance_heater", "resistance heater", "Resistance"],
+    HeatingSystem.BIOMASS_BOILER: ["biomass_boiler", "biomass"],
+    HeatingSystem.OIL_BOILER: ["oil_boiler", "Oil Boiler", "oil"],
+}
+LSOA_REGIONS = {f"E0100000{i}": region for i, region in enumerate(
+    ["Wales", "London", "North East", "South West", "East", "North West"], start=1)}
+
+
+def reference_winsorize(records, lower_pct=0.01, upper_pct=0.99):
+    """The record-by-record winsorize loop the columnar one replaced."""
+    fields = ("annual_heat_demand_before", "annual_heat_demand_after", "floor_area")
+    by_category = {}
+    for i, record in enumerate(records):
+        if not record.skippable:
+            by_category.setdefault(record.category, []).append(i)
+    out = list(records)
+    for category, idxs in by_category.items():
+        if len(idxs) < 2:
+            warnings.warn(
+                f"category {category.label()}: {len(idxs)} record(s), outlier clipping skipped")
+            continue
+        bounds = {}
+        for field in fields:
+            values = np.array([getattr(records[i], field) for i in idxs], dtype=float)
+            lo, hi = np.percentile(values, [lower_pct * 100, upper_pct * 100])
+            bounds[field] = (float(lo), float(hi))
+        for i in idxs:
+            out[i] = replace(records[i], **{f: min(max(getattr(records[i], f), lo), hi)
+                                            for f, (lo, hi) in bounds.items()})
+    return out
+
+
+def reference_derive(records, regions, level, variant):
+    """(heat loss, capacitance, heat pump size) of each live record from the scalar functions."""
+    rows = []
+    for r in records:
+        if r.skippable:
+            continue
+        info = regions.info_for_lsoa(r.lsoa_id)
+        demand = (r.annual_heat_demand_before if variant is StockVariant.BEFORE_EE
+                  else r.annual_heat_demand_after)
+        ql = heat_loss_coefficient(demand, info.heating_degree_days)
+        rows.append((ql, thermal_capacity(r.floor_area, level),
+                     size_heat_pump(ql, info.design_temp)))
+    return np.array(rows, dtype=float).reshape(-1, 3).T
+
+
+@st.composite
+def stock_rows(draw):
+    """(record, form spelling, heating spelling) rows with unique keys, zero-count rows
+    among them, and one live record of the last category, which is alone in it."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(sorted(LSOA_REGIONS)),
+                                   st.integers(0, len(CATEGORIES) - 2)),
+                         unique=True, max_size=40))
+    keys.append((draw(st.sampled_from(sorted(LSOA_REGIONS))), len(CATEGORIES) - 1))
+    rows = []
+    for i, (lsoa, code) in enumerate(keys):
+        category = CATEGORIES[code]
+        count = draw(st.integers(1 if i == len(keys) - 1 else 0, 300))
+        if count == 0 and draw(st.booleans()):
+            before = after = area = 0.0
+        else:
+            before = draw(st.floats(1.0, 1e6))
+            after = before * draw(st.floats(0.01, 1.0))
+            area = draw(st.floats(1.0, 2000.0))
+        rows.append((DwellingRecord(lsoa, category, count, before, after, area),
+                     draw(st.sampled_from(FORM_SPELLINGS[category.form])),
+                     draw(st.sampled_from(HEATING_SPELLINGS[category.heating]))))
+    return rows
+
+
+def warning_texts(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=stock_rows(), level=st.sampled_from(list(CapacityLevel)),
+       variant=st.sampled_from(list(StockVariant)))
+def test_columnar_stages_equal_record_reference(rows, level, variant):
+    records = [r for r, _, _ in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, aliased, rewritten = (Path(tmp) / name for name in ("s.csv", "a.csv", "r.csv"))
+        write_stock(records, path)
+        write_stock(load_stock(path), rewritten)
+        assert rewritten.read_bytes() == path.read_bytes()
+        with open(aliased, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(path.read_text(encoding="utf-8").splitlines()[0].split(","))
+            writer.writerows([r.lsoa_id, form, heating, r.count, repr(r.annual_heat_demand_before),
+                              repr(r.annual_heat_demand_after), repr(r.floor_area)]
+                             for r, form, heating in rows)
+        stock = load_stock(aliased)
+    assert len(stock) == len(records)
+    assert list(stock) == records
+
+    clipped, warned = warning_texts(winsorize_stock, stock)
+    expected, expected_warned = warning_texts(reference_winsorize, records)
+    assert warned == expected_warned
+    assert any(CATEGORIES[-1].label() in w for w in warned)
+    for column, field in (("demand_before", "annual_heat_demand_before"),
+                          ("demand_after", "annual_heat_demand_after"),
+                          ("floor_area", "floor_area")):
+        assert np.array_equal(getattr(clipped, column),
+                              np.array([getattr(r, field) for r in expected], dtype=float))
+    assert list(clipped) == expected
+
+    regions = make_region_table({lsoa: (region, "LA") for lsoa, region in LSOA_REGIONS.items()})
+    params = derive_all(clipped, regions, level, variant)
+    heat_loss, capacitance, hp_size = reference_derive(expected, regions, level, variant)
+    assert np.array_equal(params.heat_loss, heat_loss)
+    assert np.array_equal(params.capacitance, capacitance)
+    assert np.array_equal(params.hp_size, hp_size)
+    live = [r for r in expected if not r.skippable]
+    assert list(params) == [(r.lsoa_id, r.category) for r in live]
+    assert [params[(r.lsoa_id, r.category)].hp_size_thermal for r in live] == list(hp_size)
+
+
+GOOD_ROWS = [
+    "E01000001,detached,gas_boiler,5,12000,9000,110\n",
+    "E01000001,semi_detached,gas_boiler,3,11000,8000,90\n",
+]
+LATER_BAD_ROW = "E01000003,igloo,gas_boiler,-1,x,1,1\n"  # faults of every kind, after row 3
+
+
+@pytest.mark.parametrize("row, error, message", [
+    ("E01000002,bungalow,gas_boiler,5,12000,9000,110", ParseError,
+     "unknown dwelling form 'bungalow'"),
+    ("E01000002,detached,steam,5,12000,9000,110", ParseError,
+     "unknown heating system 'steam'"),
+    ("E01000002,detached,gas_boiler,5,12k,9000,110", ParseError,
+     "expected a number, got '12k'"),
+    ("E01000002,detached,gas_boiler,2.5,12000,9000,110", ParseError,
+     "expected an integer, got '2.5'"),
+    ("E01000002,detached,gas_boiler,-1,12000,9000,110", DataValidationError,
+     "E01000002: negative dwelling count -1"),
+    ("E01000002,detached,gas_boiler,5,9000,12000,110", DataValidationError,
+     "E01000002/detached/gas_boiler: heat demand after efficiency measures exceeds "
+     "the demand before them"),
+    ("E01000002,detached,gas_boiler,5,12000,9000,0", DataValidationError,
+     "E01000002/detached/gas_boiler: floor area must be > 0"),
+    ("E01000001,Semi-Detached,gas,4,12000,9000,110", DuplicateRecordError,
+     "duplicate record for (E01000001, semi_detached/gas_boiler)"),
+    ("E01000002,detached", ParseError, "unknown heating system ''"),  # a short row
+    ("E01000002,detached,gas_boiler,inf,12000,9000,110", ParseError,
+     "expected an integer, got 'inf'"),
+    ("E01000002,detached,gas_boiler,5,nan,9000,110", ParseError,
+     "expected a finite number, got 'nan'"),
+    ("E01000002,detached,gas_boiler,5,12000,9000,-inf", ParseError,
+     "expected a finite number, got '-inf'"),
+])
+def test_load_stock_error_names_first_failing_row(tmp_path, row, error, message):
+    # the class and full text a row-by-row reader gives, for the first row
+    # that fails, whatever faults later rows hold
+    path = write_csv(tmp_path / "s.csv", GOOD_ROWS + [row + "\n", LATER_BAD_ROW])
+    with pytest.raises(DataValidationError) as info:
+        load_stock(path)
+    assert info.type is error
+    assert str(info.value) == f"{path}: row 3: {message}"
+
+
+def test_derive_error_names_first_failing_row():
+    records = [make_record(lsoa_id=lsoa) for lsoa in ("E01000001", "E01000002", "E01000003")]
+    table = RegionTable(
+        regions={"Mild": RegionInfo("Mild", 2000.0, -3.0), "Hot": RegionInfo("Hot", 2000.0, 22.0),
+                 "Dry": RegionInfo("Dry", 0.0, -3.0)},
+        lsoa_to_region={"E01000001": "Mild", "E01000002": "Hot", "E01000003": "Dry"},
+    )
+    with pytest.raises(DomainError) as info:
+        derive_all(records, table)
+    assert str(info.value) == (
+        "(E01000002, detached/gas_boiler): indoor design temperature 21.0 C must exceed "
+        "the outdoor design temperature 22.0 C")
+    with pytest.raises(DomainError) as info:
+        derive_all(records[::-1], table)
+    assert str(info.value) == (
+        "(E01000003, detached/gas_boiler): heating degree days must be > 0, got 0.0")

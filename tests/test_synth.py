@@ -32,7 +32,7 @@ def test_records_survive_csv_round_trip(tmp_path):
     records, lookup = generate_stock(4000, seed=9)
     stock_path = tmp_path / "stock.csv"
     write_stock(records, stock_path)
-    assert load_stock(stock_path) == records
+    assert list(load_stock(stock_path)) == records
     write_lookup(lookup, tmp_path / "lookup.csv")
     header = (tmp_path / "lookup.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "lsoa_id,region,local_authority"
