@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -264,11 +265,15 @@ def _export_csv(report: AggregateReport, out_dir: Path) -> list[Path]:
     written = [envelope_path, summary_path]
 
     with open(envelope_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["key", "duration_s", "power_w"])
+        fh.write("key,duration_s,power_w\n")
         for key in sorted(report.groups):
-            for d, p in report.groups[key].envelope.breakpoints:
-                writer.writerow([key, repr(d), repr(p)])
+            # the key cell as csv quotes it in a row of several fields; the
+            # terminator stays "\n", which decides whether a newline is quoted
+            cell = io.StringIO()
+            csv.writer(cell, lineterminator="\n").writerow([key, ""])
+            prefix = cell.getvalue()[:-1]
+            fh.writelines(f"{prefix}{d!r},{p!r}\n"
+                          for d, p in report.groups[key].envelope.breakpoints)
 
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

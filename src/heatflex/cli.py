@@ -19,7 +19,6 @@ error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from collections import Counter
@@ -48,18 +47,11 @@ _LEVELS = {
 }
 
 
-def _finite(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError("temperatures must be finite")
-    return value
-
-
 # sweep axis -> (base spec, value token) -> the spec for that value
 _SWEEP_AXES = {
     "capacity": lambda spec, t: replace(spec, capacity_level=CapacityLevel.parse(t)),
-    "outdoor": lambda spec, t: replace(spec, outdoor_temp=_finite(t)),
-    "indoor": lambda spec, t: replace(spec, indoor_model=FixedIndoor(_finite(t))),
+    "outdoor": lambda spec, t: replace(spec, outdoor_temp=config.finite_float(t)),
+    "indoor": lambda spec, t: replace(spec, indoor_model=FixedIndoor(config.finite_float(t))),
 }
 
 

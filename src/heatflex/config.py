@@ -27,6 +27,7 @@ Unknown sections or keys are rejected.
 from __future__ import annotations
 
 import configparser
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -67,11 +68,8 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
     sc = parser["scenario"]
     if "outdoor_temp" not in sc:
         raise ConfigError(f"{path}: [scenario] needs outdoor_temp")
-    try:
-        outdoor = float(sc["outdoor_temp"])
-        uptake = float(sc.get("uptake_fraction", "1.0"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [scenario]: {exc}") from None
+    outdoor = _number(sc, "outdoor_temp", "", path)
+    uptake = _number(sc, "uptake_fraction", "1.0", path)
     variant_token = sc.get("stock_variant", "before").strip().lower()
     try:
         variant = StockVariant(variant_token)
@@ -84,12 +82,8 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
     band = ComfortBand()
     if "comfort" in parser:
         cf = parser["comfort"]
-        try:
-            band = ComfortBand(
-                low=float(cf.get("low", "18.0")), high=float(cf.get("high", "24.0"))
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [comfort]: {exc}") from None
+        band = ComfortBand(low=_number(cf, "low", "18.0", path),
+                           high=_number(cf, "high", "24.0", path))
 
     curve = CopCurve.default()
     if "cop" in parser and "points" in parser["cop"]:
@@ -106,20 +100,36 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
     )
 
 
+def finite_float(raw: str) -> float:
+    """raw as a float; ValueError unless it parses to a finite number."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _number(section, key: str, default: str, path) -> float:
+    """section[key], or default when absent, as a finite float."""
+    try:
+        return finite_float(section.get(key, default))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [{section.name}] {key}: {exc}") from None
+
+
 def _read_indoor(section, path):
     model = section.get("model", "").strip().lower()
     try:
         if model == "fixed":
-            return FixedIndoor(temp=float(section.get("temp", "19.0")))
+            return FixedIndoor(temp=_number(section, "temp", "19.0", path))
         if model == "truncated_normal":
             return TruncatedNormalIndoor(
-                mean=float(section.get("mean", "19.0")),
-                sd=float(section.get("sd", "2.5")),
-                low=float(section.get("low", "14.0")),
-                high=float(section.get("high", "24.0")),
+                mean=_number(section, "mean", "19.0", path),
+                sd=_number(section, "sd", "2.5", path),
+                low=_number(section, "low", "14.0", path),
+                high=_number(section, "high", "24.0", path),
                 seed=int(section.get("seed", "0")),
             )
-    except ValueError as exc:
+    except ValueError as exc:  # the seed
         raise ConfigError(f"{path}: [indoor]: {exc}") from None
     raise ConfigError(f"{path}: [indoor] model must be 'fixed' or 'truncated_normal'")
 
@@ -132,9 +142,10 @@ def _parse_cop_points(raw: str, path) -> CopCurve:
             continue
         try:
             temp_s, cop_s = token.split(":")
-            points.append((float(temp_s), float(cop_s)))
+            points.append((finite_float(temp_s), finite_float(cop_s)))
         except ValueError:
-            raise ConfigError(f"{path}: bad COP point {token!r}, expected temp:cop") from None
+            raise ConfigError(f"{path}: [cop] points: bad COP point {token!r}, "
+                              "expected finite temp:cop") from None
     return CopCurve(points=tuple(points))
 
 

@@ -24,7 +24,9 @@ temperatures any record receives. Record i's stream is numpy's
 Generator(Philox(SeedSequence([seed, key_i]))), but all records are drawn
 in one array pass: `_philox_keys` ports SeedSequence's key mixing (after
 O'Neill's seed_seq_fe) and `_philox_uniforms` runs Philox4x64-10 (Salmon
-et al., SC'11) on a (records, blocks) counter array, bit for bit.
+et al., SC'11) on a (records, blocks) counter array, bit for bit. The
+quantile function is `normal.ndtri`, a port of Moshier's Cephes `ndtri`
+(with its `ndtr`) that returns what scipy.special does, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .normal import ndtr, ndtri
 from .rc import (INDOOR_TEMP_MAX, INDOOR_TEMP_MIN, ComfortBand, CopCurve, Direction,
                  RcDwelling, cop_at, evaluate)
 from .regions import RegionTable
@@ -195,9 +198,6 @@ def _philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
 
 def _truncated_normal(model: TruncatedNormalIndoor, u: np.ndarray) -> np.ndarray:
     """Map uniforms of any shape through the truncated normal quantile function."""
-    # scipy.special takes 0.3-0.45 s and 26 MB to import; fixed-indoor runs never need it
-    from scipy.special import ndtr, ndtri
-
     a = (model.low - model.mean) / model.sd
     b = (model.high - model.mean) / model.sd
     fa, fb = ndtr(a), ndtr(b)

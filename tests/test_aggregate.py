@@ -330,6 +330,28 @@ def test_json_export_writes_what_json_module_writes(tmp_path):
     assert (tmp_path / "report.json").read_text(encoding="utf-8") == expected
 
 
+def test_csv_envelope_writes_what_csv_writer_writes(tmp_path):
+    # envelope.csv writes its rows without csv.writer; the bytes must stay
+    # those of the writerow loop kept here, whatever the key holds
+    def group(breakpoints):
+        return GroupStats(Envelope(tuple(breakpoints), 1.0, 0.0), 1.5, 0.1)
+
+    breakpoints = [(60.0, 3.0), (1e-300, 2.0), (7200.5, float("inf")), (2.0, float("nan"))]
+    keys = ["E01000001", "comma, key", 'quote " key', "new\nline", "carriage\rreturn",
+            " leading space", "", "\"", "tab\tkey"]
+    groups = {key: group(breakpoints[:i % 4 + 1]) for i, key in enumerate(keys)}
+    groups["no breakpoints"] = group([])
+    export_report(AggregateReport(Level.LSOA, groups, 6.0, 7.0, 4.5, 0.4),
+                  ExportFormat.CSV, tmp_path)
+    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["key", "duration_s", "power_w"])
+        for key in sorted(groups):
+            for d, p in groups[key].envelope.breakpoints:
+                writer.writerow([key, repr(d), repr(p)])
+    assert (tmp_path / "envelope.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_export_empty_report(tmp_path):
     table, _ = la_fixture()
     report = rollup(make_run([]), table, Level.NATIONAL)

@@ -437,6 +437,28 @@ def test_bad_scenario_exits_1(workspace):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("outdoor_temp = 0.0", "outdoor_temp = nan", "[scenario] outdoor_temp"),
+    ("seed = 42", "seed = 42\nsd = nan", "[indoor] sd"),
+    ("seed = 42", "seed = 42\n\n[comfort]\nlow = nan", "[comfort] low"),
+])
+def test_non_finite_scenario_number_exits_1(workspace, capsys, old, new, key):
+    bad = workspace / "nonfinite.ini"
+    bad.write_text(SCENARIO_PDF.replace(old, new), encoding="utf-8")
+    out = workspace / "nonfinite"
+    code = main([
+        "flex",
+        "--stock", str(workspace / "stock.csv"),
+        "--lookup", str(workspace / "stock_lookup.csv"),
+        "--scenario", str(bad),
+        "--direction", "neg",
+        "--out", str(out),
+    ])
+    assert code == EXIT_USAGE
+    assert f"{key}: expected a finite number, got 'nan'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_indoor_seed_exits_1_naming_the_seed(workspace, capsys):
     bad = workspace / "negseed.ini"
     bad.write_text(SCENARIO_PDF.replace("seed = 42", "seed = -3"), encoding="utf-8")
@@ -454,28 +476,33 @@ def test_negative_indoor_seed_exits_1_naming_the_seed(workspace, capsys):
     assert not out.exists()
 
 
-def test_scipy_loaded_only_for_drawn_temperatures(workspace):
-    # scipy.special costs about 0.45 s and 26 MB to import and only the
-    # truncated normal uses it: importing the CLI and a fixed-indoor run
-    # must not load it
+def test_runs_without_scipy(workspace):
+    # scipy is only a test dependency: with it blocked the CLI imports, a
+    # fixed-indoor and a truncated-normal flex both succeed, and the drawn
+    # exports equal, byte for byte, those of the same run without the block
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    block = "import sys; sys.modules['scipy'] = None\n"
 
     def python(code, *args):
         return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=workspace,
                               capture_output=True, text=True, timeout=120)
 
-    probe = python("import sys, heatflex.cli; print('scipy' in sys.modules)")
-    assert probe.stdout.strip() == "False", probe.stderr
+    probe = python(block + "import heatflex.cli")
+    assert probe.returncode == 0, probe.stderr
     (workspace / "pdf.ini").write_text(SCENARIO_PDF, encoding="utf-8")
-    without_scipy = ("import sys; sys.modules['scipy'] = None\n"
-                     "from heatflex.cli import main\n"
-                     "sys.exit(main(sys.argv[1:]))")
-    for scenario, expected in (("scenario.ini", EXIT_OK), ("pdf.ini", EXIT_RUNTIME)):
-        run = python(without_scipy, "flex", "--stock", "stock.csv", "--lookup",
+    run_main = "import sys\nfrom heatflex.cli import main\nsys.exit(main(sys.argv[1:]))"
+    runs = [("free", "", "pdf.ini"), ("blocked", block, "scenario.ini"),
+            ("blocked", block, "pdf.ini")]
+    for tag, prefix, scenario in runs:
+        run = python(prefix + run_main, "flex", "--stock", "stock.csv", "--lookup",
                      "stock_lookup.csv", "--scenario", scenario, "--direction", "neg",
-                     "--out", "out_" + scenario)
-        assert run.returncode == expected, (scenario, run.stderr)
-    assert (workspace / "out_scenario.ini" / "summary.csv").exists()
+                     "--out", f"{tag}_{scenario}")
+        assert run.returncode == EXIT_OK, (tag, scenario, run.stderr)
+    assert (workspace / "blocked_scenario.ini" / "summary.csv").exists()
+    drawn, free = workspace / "blocked_pdf.ini", workspace / "free_pdf.ini"
+    assert sorted(p.name for p in drawn.iterdir()) == ["envelope.csv", "summary.csv"]
+    for path in drawn.iterdir():
+        assert path.read_bytes() == (free / path.name).read_bytes(), path.name
 
 
 def test_data_errors_exit_2(workspace, tmp_path):

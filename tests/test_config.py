@@ -106,3 +106,28 @@ def test_bad_cop_points_rejected(tmp_path):
     )
     with pytest.raises(ConfigError, match="COP point"):
         read_scenario(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("[scenario]\noutdoor_temp = nan\n", "[scenario] outdoor_temp: expected a finite number"),
+    ("[scenario]\noutdoor_temp = 5\nuptake_fraction = 1e999\n",
+     "[scenario] uptake_fraction: expected a finite number, got '1e999'"),
+    ("[scenario]\noutdoor_temp = 5\n\n[indoor]\nmodel = truncated_normal\nsd = nan\n",
+     "[indoor] sd: expected a finite number, got 'nan'"),
+    ("[scenario]\noutdoor_temp = 5\n\n[indoor]\nmodel = fixed\ntemp = -inf\n",
+     "[indoor] temp: expected a finite number, got '-inf'"),
+    ("[scenario]\noutdoor_temp = 5\n\n[comfort]\nlow = nan\n",
+     "[comfort] low: expected a finite number, got 'nan'"),
+    ("[scenario]\noutdoor_temp = 5\n\n[cop]\npoints = -5:2.0, inf:2.3\n",
+     "[cop] points: bad COP point 'inf:2.3'"),
+    ("[scenario]\noutdoor_temp = 5\n\n[cop]\npoints = -5:nan, 0:2.3\n",
+     "[cop] points: bad COP point '-5:nan'"),
+])
+def test_non_finite_number_rejected_naming_section_and_key(tmp_path, body, message):
+    path = tmp_path / "scenario.ini"
+    if "[indoor]" not in body:
+        body += "\n[indoor]\nmodel = fixed\n"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        read_scenario(path)
+    assert message in str(exc.value)
