@@ -30,7 +30,6 @@ from .errors import (
     DomainError,
     DuplicateRecordError,
     HeatflexError,
-    MissingParamsError,
     ParseError,
     SchemaError,
     UnresolvedLsoaError,
@@ -95,7 +94,7 @@ __all__ = [
     "DuplicateRecordError", "Duration", "DurationKind", "DwellingCategory",
     "DwellingForm", "DwellingRecord", "Envelope", "ExportFormat",
     "FiniteEnergy", "FixedIndoor", "FlexOutcome", "GroupStats", "HeatflexError",
-    "HeatingSystem", "Level", "MissingParamsError", "ParseError", "RcDwelling",
+    "HeatingSystem", "Level", "ParseError", "RcDwelling",
     "RegionInfo", "RegionTable", "SampleTable", "ScenarioRun", "ScenarioSpec", "SchemaError",
     "StockTable", "StockVariant", "ThermalParams", "ThermalTable", "TruncatedNormalIndoor",
     "UnresolvedLsoaError",

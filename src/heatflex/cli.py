@@ -31,7 +31,7 @@ from .rc import Direction
 from .regions import default_regions_path, load_region_table
 from .scenario import FixedIndoor
 from .stock import load_stock, winsorize_stock, write_stock
-from .thermal import CapacityLevel, StockVariant, derive_all, write_params_csv
+from .thermal import _CAPACITY_TOKENS, CapacityLevel, StockVariant, derive_all, write_params_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,12 +39,7 @@ EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
 _DIRECTIONS = {"pos": Direction.POSITIVE, "neg": Direction.NEGATIVE}
-_LEVELS = {
-    "lsoa": aggregate.Level.LSOA,
-    "la": aggregate.Level.LOCAL_AUTHORITY,
-    "region": aggregate.Level.REGION,
-    "national": aggregate.Level.NATIONAL,
-}
+_LEVELS = {level.value: level for level in aggregate.Level}
 
 
 # sweep axis -> (base spec, value token) -> the spec for that value
@@ -126,9 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_derive = sub.add_parser("derive", help="derive thermal parameters")
     _add_input_args(p_derive)
-    p_derive.add_argument("--capacity", default="medium",
-                          choices=["medium", "medium+10", "medium-10"])
-    p_derive.add_argument("--variant", default="before", choices=["before", "after"])
+    p_derive.add_argument("--capacity", default="medium", choices=list(_CAPACITY_TOKENS))
+    p_derive.add_argument("--variant", default="before", choices=[v.value for v in StockVariant])
     p_derive.add_argument("--out", required=True, help="output CSV path")
 
     p_flex = sub.add_parser("flex", help="run one scenario")
@@ -191,7 +185,7 @@ def _cmd_derive(args) -> int:
     with timer.stage("derive") as st:
         params = derive_all(records, regions, level, variant)
         st.done(f"{len(params)} parameter sets")
-    write_params_csv(records, params, args.out)
+    write_params_csv(params, args.out)
     return EXIT_OK
 
 

@@ -43,9 +43,5 @@ class UnresolvedLsoaError(DataValidationError):
         super().__init__(f"{len(self.lsoa_ids)} LSOA(s) have no region mapping: {shown}{more}")
 
 
-class MissingParamsError(DataValidationError):
-    """A record has no derived thermal parameters."""
-
-
 class DomainError(HeatflexError, ValueError):
     """A physical quantity is outside its valid domain."""

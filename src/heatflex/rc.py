@@ -68,7 +68,7 @@ class RcDwelling:
 
     @classmethod
     def from_params(cls, params: ThermalParams) -> "RcDwelling":
-        # kW/C -> W/C, kJ/K -> J/K, kW -> W happen here and nowhere else.
+        # kW/C -> C/W, kJ/K -> J/K, kW -> W, as run_scenario, _failure and rollup do inline
         return cls(
             resistance=1.0 / (params.heat_loss * 1000.0),
             capacitance=params.capacitance * 1000.0,
@@ -85,6 +85,8 @@ class CopCurve:
     def __post_init__(self) -> None:
         if not self.points:
             raise ConfigError("COP curve has no points")
+        if not all(math.isfinite(v) for point in self.points for v in point):
+            raise ConfigError(f"COP curve points must be finite, got {self.points}")
         temps = [t for t, _ in self.points]
         if any(b <= a for a, b in zip(temps, temps[1:])):
             raise ConfigError("COP curve temperatures must be strictly increasing")
@@ -119,8 +121,8 @@ class ComfortBand:
     high: float = 24.0
 
     def __post_init__(self) -> None:
-        if self.low >= self.high:
-            raise ConfigError(f"comfort band low {self.low} must be below high {self.high}")
+        if not -math.inf < self.low < self.high < math.inf:
+            raise ConfigError(f"comfort band ({self.low}, {self.high}) needs finite low < high")
 
 
 class DurationKind(Enum):

@@ -10,11 +10,12 @@ derives parameters only when a scenario changes them and draws indoor
 temperatures only when it changes the indoor model.
 
 Stock, parameters, samples and outcomes are all columns, one numpy array
-per field: `build_samples` slices a `StockTable` and its `ThermalTable`
-into a `SampleTable`, and `run_scenario` evaluates the whole table with
-masked array expressions into a `ScenarioRun`. The kernel does the float
-operations of `rc.evaluate` in the same order, so every row equals what the
-scalar functions in `rc`, kept as the reference, return for it.
+per field: `build_samples` slices a `ThermalTable` and the live rows of the
+stock it holds into a `SampleTable`, and `run_scenario` evaluates the whole
+table with masked array expressions into a `ScenarioRun`. The kernel does
+the float operations of `rc.evaluate` in the same order, so every row
+equals what the scalar functions in `rc`, kept as the reference, return
+for it.
 
 Randomness is reproducible and order-independent: each stock record owns a
 counter-based Philox stream keyed by a stable hash of its (LSOA, category)
@@ -56,6 +57,10 @@ class FixedIndoor:
 
     temp: float = 19.0
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.temp):
+            raise ConfigError(f"indoor temperature must be finite, got {self.temp}")
+
 
 @dataclass(frozen=True)
 class TruncatedNormalIndoor:
@@ -74,10 +79,10 @@ class TruncatedNormalIndoor:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sd <= 0:
-            raise ConfigError(f"standard deviation must be > 0, got {self.sd}")
-        if self.low >= self.high:
-            raise ConfigError(f"truncation bounds ({self.low}, {self.high}) are inverted")
+        if not (0 < self.sd < math.inf and math.isfinite(self.mean)):  # nan fails too
+            raise ConfigError(f"need a finite mean and sd > 0, got {self.mean}, {self.sd}")
+        if not -math.inf < self.low < self.high < math.inf:
+            raise ConfigError(f"truncation bounds ({self.low}, {self.high}) need finite low < high")
         if self.seed < 0:
             raise ConfigError(f"indoor seed must be a non-negative integer, got {self.seed}")
 
@@ -197,11 +202,19 @@ def _philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
 
 
 def _truncated_normal(model: TruncatedNormalIndoor, u: np.ndarray) -> np.ndarray:
-    """Map uniforms of any shape through the truncated normal quantile function."""
+    """Map uniforms of any shape through the truncated normal quantile function.
+
+    An interval above the mean is drawn as its mirror [-b, -a] and negated:
+    ndtr keeps its relative precision in the lower tail only, and far in the
+    upper tail both bounds would round to 1.0.
+    """
     a = (model.low - model.mean) / model.sd
     b = (model.high - model.mean) / model.sd
+    sign = 1.0
+    if a > 0:
+        a, b, sign = -b, -a, -1.0
     fa, fb = ndtr(a), ndtr(b)
-    return model.mean + model.sd * ndtri(fa + u * (fb - fa))
+    return model.mean + sign * model.sd * ndtri(fa + u * (fb - fa))
 
 
 def _draw_indoor_temps(
@@ -248,6 +261,8 @@ class ScenarioSpec:
     cop_curve: CopCurve = field(default_factory=CopCurve.default)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.outdoor_temp):
+            raise ConfigError(f"outdoor temperature must be finite, got {self.outdoor_temp}")
         if not 0.0 <= self.uptake_fraction <= 1.0:
             raise ConfigError(
                 f"uptake fraction must be within [0, 1], got {self.uptake_fraction}"
@@ -262,8 +277,8 @@ class SampleTable:
     """Evaluation samples as parallel columns, one row per sample.
 
     A sample is a (possibly fractional) bundle of identical dwellings.
-    lsoa_code indexes lsoa_ids, the distinct LSOAs in order of first
-    appearance; the thermal parameters keep the units of ThermalParams.
+    lsoa_code indexes lsoa_ids, which build_samples takes from the stock
+    whole; the thermal parameters keep the units of ThermalParams.
     """
 
     lsoa_ids: tuple[str, ...]
@@ -283,32 +298,24 @@ class SampleTable:
 
 
 def build_samples(
-    stock: StockTable | Iterable[DwellingRecord],
     params: ThermalTable,
     spec: ScenarioSpec,
     expansion: int = DEFAULT_EXPANSION,
     indoor: np.ndarray | None = None,
 ) -> SampleTable:
-    """Expand the live stock rows into weighted evaluation samples.
+    """Expand the live rows of the stock params was derived from into weighted samples.
 
-    params must have been derived from this stock (MissingParamsError
-    otherwise). Under a fixed indoor model one sample per row suffices,
-    since every dwelling in a row is identical. Under the stochastic model
-    each row becomes `expansion` consecutive sub-samples of equal weight with
+    Under a fixed indoor model one sample per row suffices, since every
+    dwelling in a row is identical. Under the stochastic model each row
+    becomes `expansion` consecutive sub-samples of equal weight with
     independent temperature draws from the row's own stream. indoor, if
     given, is the indoor column of an earlier call on the same stock with the
     same indoor model and expansion, used instead of drawing again.
     """
     if expansion < 1:
         raise ConfigError(f"expansion factor must be >= 1, got {expansion}")
-    stock = as_stock_table(stock)
-    rows = params.live_rows_of(stock)
-    # LSOA codes renumbered in order of first appearance among the live rows
-    present, first, inverse = np.unique(stock.lsoa_code[rows], return_index=True,
-                                        return_inverse=True)
-    order = np.argsort(first)
-    lsoa_ids = tuple(stock.lsoa_ids[c] for c in present[order].tolist())
-    columns = [np.argsort(order)[inverse], stock.count[rows].astype(float) * spec.uptake_fraction,
+    stock, rows = params.stock, params.rows
+    columns = [stock.lsoa_code[rows], stock.count[rows].astype(float) * spec.uptake_fraction,
                params.heat_loss, params.capacitance, params.hp_size]
     model = spec.indoor_model
     if isinstance(model, FixedIndoor):
@@ -323,7 +330,7 @@ def build_samples(
         columns[1] = columns[1] / expansion
         columns = [np.repeat(c, expansion) for c in columns]
     code, weight, heat_loss, capacitance, hp_size = columns
-    return SampleTable(lsoa_ids, code, weight, indoor, heat_loss, capacitance, hp_size)
+    return SampleTable(stock.lsoa_ids, code, weight, indoor, heat_loss, capacitance, hp_size)
 
 
 ZERO, FINITE, UNBOUNDED, FAILED = range(4)  # codes of ScenarioRun.kind
@@ -456,7 +463,7 @@ def run_sweep(
                 params = None
                 params, params_key = derive_all(stock, regions, *key), key
             samples_key = (key, spec.indoor_model, spec.uptake_fraction)
-            samples = build_samples(stock, params, spec, expansion, indoor)
+            samples = build_samples(params, spec, expansion, indoor)
             indoor = samples.indoor_temp
         run = run_scenario(samples, spec, direction)
         if i == len(specs) - 1:

@@ -178,10 +178,6 @@ class StockTable:
         ):
             yield DwellingRecord(ids[code], CATEGORIES[category], *values)
 
-    def live_rows(self) -> np.ndarray:
-        """Indices of the rows with count > 0, in row order."""
-        return np.flatnonzero(self.count > 0)
-
     def keys(self, rows: np.ndarray) -> list[tuple[str, int]]:
         """(LSOA id, category code) of each of the given rows."""
         return list(zip(map(self.lsoa_ids.__getitem__, self.lsoa_code[rows].tolist()),
@@ -229,9 +225,8 @@ def _resolve_schema(schema: Mapping[str, str] | None) -> dict[str, str]:
 def load_stock(
     path: str | Path,
     schema: Mapping[str, str] | None = None,
-    delimiter: str = ",",
 ) -> StockTable:
-    """Parse a delimited stock table into a StockTable, preserving row order.
+    """Parse a stock CSV into a StockTable, preserving row order.
 
     Raises SchemaError for missing columns, ParseError (with the 1-based data
     row number) for bad or non-finite cells, DataValidationError for a row
@@ -244,7 +239,7 @@ def load_stock(
     categories: dict[tuple[str, str], int] = {}  # raw (form, heating) cells -> code, -1 if unknown
     lsoa_code, category_code, *cells = [[] for _ in range(6)]  # cells: the four number columns
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in cols.values() if c not in header]
         if missing:
@@ -339,12 +334,11 @@ def write_stock(
     records: Iterable[DwellingRecord],
     path: str | Path,
     schema: Mapping[str, str] | None = None,
-    delimiter: str = ",",
 ) -> None:
     """Write records in the load_stock format (load . write is an identity)."""
     cols = _resolve_schema(schema)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([cols[f] for f in DEFAULT_STOCK_SCHEMA])
         for r in records:
             writer.writerow([

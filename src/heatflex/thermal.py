@@ -14,7 +14,8 @@ stay in kW and kJ; the transient core converts to W and J at its boundary.
 once and returns a `ThermalTable` of columns. It does the float operations
 of the scalar functions below in the same order, so each row equals what
 they return for it; they stay as the reference that tests check it against,
-and they word the error for the first row outside their domain.
+and they word the error for the first row outside their domain. The table
+holds its stock, so what reads it next takes the table alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DomainError, MissingParamsError
+from .errors import DomainError
 from .regions import RegionTable
 from .stock import (CATEGORIES, CATEGORY_CODE, DwellingCategory, DwellingRecord, StockTable,
                     as_stock_table)
@@ -59,9 +60,7 @@ class CapacityLevel(Enum):
 
     @property
     def token(self) -> str:
-        return {self.MEDIUM: "medium",
-                self.MEDIUM_PLUS_10: "medium+10",
-                self.MEDIUM_MINUS_10: "medium-10"}[self]
+        return next(token for token, level in _CAPACITY_TOKENS.items() if level is self)
 
 
 _CAPACITY_TOKENS = {
@@ -82,7 +81,6 @@ class ThermalParams:
     capacitance: float  # kJ/K
     hp_size_thermal: float  # kW thermal output at design conditions
     design_temp: float  # C, regional outdoor design temperature
-    indoor_design_temp: float = DEFAULT_INDOOR_DESIGN_TEMP  # C
 
 
 def heat_loss_coefficient(annual_heat_demand: float, hdd: float) -> float:
@@ -132,7 +130,6 @@ class ThermalTable(Mapping):
     capacitance: np.ndarray  # kJ/K
     hp_size: np.ndarray  # kW thermal output at design conditions
     design_temp: np.ndarray  # C, regional outdoor design temperature
-    indoor_design_temp: float = DEFAULT_INDOOR_DESIGN_TEMP
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -143,19 +140,11 @@ class ThermalTable(Mapping):
     def __getitem__(self, key: tuple[str, DwellingCategory]) -> ThermalParams:
         j = self._index[(key[0], CATEGORY_CODE[key[1]])]
         return ThermalParams(float(self.heat_loss[j]), float(self.capacitance[j]),
-                             float(self.hp_size[j]), float(self.design_temp[j]),
-                             self.indoor_design_temp)
+                             float(self.hp_size[j]), float(self.design_temp[j]))
 
     @cached_property
     def _index(self) -> dict[tuple[str, int], int]:
         return {key: j for j, key in enumerate(self.stock.keys(self.rows))}
-
-    def live_rows_of(self, stock: StockTable) -> np.ndarray:
-        """The live rows of stock; MissingParamsError unless they are the rows derived here."""
-        rows = stock.live_rows()
-        if stock is not self.stock and stock.keys(rows) != self.stock.keys(self.rows):
-            raise MissingParamsError("the thermal parameters were not derived from this stock")
-        return rows
 
 
 def derive_all(
@@ -163,23 +152,22 @@ def derive_all(
     regions: RegionTable,
     level: CapacityLevel = CapacityLevel.MEDIUM,
     variant: StockVariant = StockVariant.BEFORE_EE,
-    indoor_design_temp: float = DEFAULT_INDOOR_DESIGN_TEMP,
 ) -> ThermalTable:
     """Derive the thermal parameters of every row with count > 0.
 
     The stock variant selects which annual heat demand drives the heat loss;
     under AFTER_EE the heat pump is resized from the reduced heat loss while
-    the capacitance (floor area based) is unchanged. Degree days and design
+    the capacitance (floor area based) is unchanged. Heat pumps are sized
+    for DEFAULT_INDOOR_DESIGN_TEMP indoors. Degree days and design
     temperature are looked up once per distinct LSOA. A row outside the
     domain of the scalar functions raises their DomainError, for the first
     such row.
     """
     stock = as_stock_table(stock)
-    rows = stock.live_rows()
+    rows = np.flatnonzero(stock.count > 0)
     lsoa = stock.lsoa_code[rows]
-    used, first = np.unique(lsoa, return_index=True)
-    used = used[np.argsort(first)].tolist()  # in order of first appearance
-    regions.validate_lsoas(stock.lsoa_ids[c] for c in used)
+    used = np.unique(lsoa).tolist()
+    regions.validate_lsoas({stock.lsoa_ids[c] for c in used})
     climate = np.zeros((len(stock.lsoa_ids), 2))  # (degree days, design temperature) per LSOA
     for c in used:
         info = regions.info_for_lsoa(stock.lsoa_ids[c])
@@ -191,44 +179,31 @@ def derive_all(
     with np.errstate(all="ignore"):  # rows outside the domain are reported below
         ql = demand / (hdd * HOURS_PER_DAY)
         cap = area * level.specific_capacity
-        size = (indoor_design_temp - design) * ql
-    bad = (demand <= 0) | (hdd <= 0) | (area <= 0) | (indoor_design_temp <= design) | (ql <= 0)
+        size = (DEFAULT_INDOOR_DESIGN_TEMP - design) * ql
+    bad = ((demand <= 0) | (hdd <= 0) | (area <= 0) | (DEFAULT_INDOOR_DESIGN_TEMP <= design)
+           | (ql <= 0))
     if bad.any():
         j = int(np.argmax(bad))
         try:
             heat_loss = heat_loss_coefficient(float(demand[j]), float(hdd[j]))
             thermal_capacity(float(area[j]), level)
-            size_heat_pump(heat_loss, float(design[j]), indoor_design_temp)
+            size_heat_pump(heat_loss, float(design[j]))
         except DomainError as exc:
             lsoa_id, code = stock.keys(rows[j:j + 1])[0]
             raise DomainError(f"({lsoa_id}, {CATEGORIES[code].label()}): {exc}") from exc
         raise AssertionError(f"live row {j} is outside the domain of derive_all only")
-    return ThermalTable(stock, rows, ql, cap, size, design, indoor_design_temp)
+    return ThermalTable(stock, rows, ql, cap, size, design)
 
 
-def total_installed_thermal_kw(
-    records: Iterable[DwellingRecord], params: ThermalTable
-) -> float:
-    """National installed heat pump capacity, kW thermal = sum(count * size)."""
-    total = 0.0
-    for record in records:
-        if record.skippable:
-            continue
-        key = (record.lsoa_id, record.category)
-        if key not in params:
-            raise MissingParamsError(f"no derived parameters for {key}")
-        total += record.count * params[key].hp_size_thermal
-    return total
+def total_installed_thermal_kw(params: ThermalTable) -> float:
+    """Installed heat pump capacity of the stock, kW thermal = sum(count * size), in row order."""
+    total = np.cumsum(params.stock.count[params.rows] * params.hp_size)  # left to right
+    return float(total[-1]) if len(total) else 0.0
 
 
-def write_params_csv(
-    stock: StockTable | Iterable[DwellingRecord],
-    params: ThermalTable,
-    path: str | Path,
-) -> None:
+def write_params_csv(params: ThermalTable, path: str | Path) -> None:
     """Export derived parameters, one row per stock row with count > 0."""
-    stock = as_stock_table(stock)
-    rows = params.live_rows_of(stock)
+    stock, rows = params.stock, params.rows
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(

@@ -345,7 +345,7 @@ def _cornwall_negative_mw(records, table) -> float:
     spec = ScenarioSpec(outdoor_temp=5.0, indoor_model=FixedIndoor(19.0))
     clean = winsorize_stock(records)
     params = derive_all(clean, table, spec.capacity_level, spec.stock_variant)
-    samples = build_samples(clean, params, spec)
+    samples = build_samples(params, spec)
     run = run_scenario(samples, spec, Direction.NEGATIVE)
     report = rollup(run, table, Level.NATIONAL)
     return report.total_magnitude_at_zero_w / 1e6
@@ -408,7 +408,7 @@ def test_criterion_12_determinism_and_parallel(tmp_path, small_stock):
         spec = ScenarioSpec(outdoor_temp=-5.0,
                             indoor_model=TruncatedNormalIndoor(seed=3))
         params = derive_all(stock_records, table, spec.capacity_level, spec.stock_variant)
-        samples = build_samples(stock_records, params, spec)
+        samples = build_samples(params, spec)
         # samples are independent, so the parts of a partition of the
         # sample table can be evaluated apart (in any order, or in parallel)
         # and their columns concatenated

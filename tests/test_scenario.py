@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from heatflex import (
     CapacityLevel,
+    ComfortBand,
     ConfigError,
+    CopCurve,
     Direction,
     DomainError,
     FixedIndoor,
     Level,
-    MissingParamsError,
     RcDwelling,
     ScenarioSpec,
     StockVariant,
@@ -33,6 +34,7 @@ from heatflex import (
     sample_indoor_temps,
 )
 from heatflex import scenario
+from heatflex.normal import ndtr, ndtri
 from heatflex.scenario import FAILED
 
 from conftest import (
@@ -101,6 +103,39 @@ def test_truncated_normal_validation():
     for key in (-1, 2**64):
         with pytest.raises(ConfigError, match="stream key"):
             sample_indoor_temps(TruncatedNormalIndoor(), 4, stream_key=key)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda v: TruncatedNormalIndoor(sd=v),
+    lambda v: ComfortBand(low=v),
+    lambda v: CopCurve(points=((v, 2.0),)),
+    lambda v: FixedIndoor(v),
+    lambda v: ScenarioSpec(outdoor_temp=v, indoor_model=FixedIndoor(19.0)),
+], ids=["normal_sd", "comfort_low", "cop_temp", "fixed_indoor", "outdoor_temp"])
+def test_scenario_parts_reject_non_finite_numbers(build, value):
+    # nan compares false, so a check written as "x <= 0" lets it through
+    with pytest.raises(ConfigError):
+        build(value)
+
+
+def test_upper_tail_interval_draws_the_mirror_of_the_lower_one():
+    # 16 to 18 sd above the mean, ndtr rounds both bounds to 1.0; the mirror
+    # interval below the mean keeps its precision
+    def draws(low, high):
+        model = TruncatedNormalIndoor(mean=19.0, sd=0.5, low=low, high=high, seed=4)
+        return sample_indoor_temps(model, 1000, stream_key=9)
+
+    upper, lower = draws(27.0, 28.0), draws(10.0, 11.0)
+    assert np.isfinite(upper).all() and ((27.0 <= upper) & (upper <= 28.0)).all()
+    np.testing.assert_allclose(upper - 19.0, 19.0 - lower, rtol=0, atol=1e-12)
+    # where the direct mapping is still accurate, the mirror draws its
+    # quantile at 1 - u: the same distribution
+    model = TruncatedNormalIndoor(mean=19.0, sd=2.5, low=20.0, high=24.0)
+    u = np.linspace(0.0, 1.0, 101)
+    fa, fb = ndtr(0.4), ndtr(2.0)
+    direct = 19.0 + 2.5 * ndtri(fa + (1.0 - u) * (fb - fa))
+    np.testing.assert_allclose(scenario._truncated_normal(model, u), direct, rtol=1e-12)
 
 
 # The vectorised draw path must give numpy's own per-record streams bit for
@@ -172,7 +207,7 @@ def test_draws_equal_per_record_generators(small_stock, seed):
 
     records, table = small_stock
     live = [r for r in records if not r.skippable]
-    samples = build_samples(records, derive_all(records, table),
+    samples = build_samples(derive_all(records, table),
                             spec_at(5.0, indoor_model=model), expansion=7)
     want = np.concatenate([
         reference(record_stream_key(r.lsoa_id, r.category), 7) for r in live
@@ -194,7 +229,7 @@ def one_record_setup(count=100, lsoa="E01000001"):
 def test_build_samples_fixed_weight_arithmetic():
     record, _, params = one_record_setup(count=100)
     spec = spec_at(5.0, uptake_fraction=0.5)
-    samples = build_samples([record], params, spec)
+    samples = build_samples(params, spec)
     assert len(samples) == 1
     assert samples.weight[0] == 50.0
     assert samples.indoor_temp[0] == 19.0
@@ -203,37 +238,38 @@ def test_build_samples_fixed_weight_arithmetic():
 def test_build_samples_stochastic_expansion():
     record, _, params = one_record_setup(count=100)
     spec = spec_at(5.0, indoor_model=TruncatedNormalIndoor(seed=3))
-    samples = build_samples([record], params, spec, expansion=10)
+    samples = build_samples(params, spec, expansion=10)
     assert len(samples) == 10
     assert all(s.weight == pytest.approx(10.0) for s in samples_of(samples))
     assert all(14.0 <= s.indoor_temp <= 24.0 for s in samples_of(samples))
 
 
 def test_build_samples_empty_and_missing_params():
-    record, table, params = one_record_setup()
-    assert len(build_samples([], derive_all([], table), spec_at(5.0))) == 0
-    # parameters derived from another stock are refused: a live row without
-    # parameters, parameters without a live row, or another record's
-    flat = make_record(category=GAS_FLAT)
-    for stock in ([record, flat], [], [flat], [make_record(lsoa_id="E01000002")]):
-        with pytest.raises(MissingParamsError):
-            build_samples(stock, params, spec_at(5.0))
+    record, table, _ = one_record_setup()
+    assert len(build_samples(derive_all([], table), spec_at(5.0))) == 0
     # zero-count rows carry no parameters and need none
     ghost = make_record(category=GAS_FLAT, count=0)
-    assert len(build_samples([ghost, record], params, spec_at(5.0))) == 1
+    assert len(build_samples(derive_all([ghost, record], table), spec_at(5.0))) == 1
+    assert len(build_samples(derive_all([ghost], table), spec_at(5.0))) == 0
 
 
-def test_build_samples_numbers_lsoas_by_first_live_row():
-    # a zero-count row puts E01000002 first in the stock; the samples list
-    # the LSOAs in order of their first live row, as a loop over records does
-    a, b = "E01000001", "E01000002"
-    records = [make_record(lsoa_id=b, count=0), make_record(lsoa_id=a),
-               make_record(lsoa_id=b, category=GAS_FLAT, floor_area=60.0)]
-    table = make_region_table({a: ("Wales", "Cardiff"), b: ("London", "Camden")})
-    samples = build_samples(records, derive_all(records, table), spec_at(5.0))
-    assert samples.lsoa_ids == (a, b)
-    assert [(s.lsoa_id, s.capacitance) for s in samples_of(samples)] == [
-        (a, 25000.0), (b, 15000.0)]
+def test_build_samples_index_the_stock_lsoa_ids():
+    # a zero-count row puts E01000003 first in the stock, and E01000002
+    # has no live row at all: the samples keep the stock's LSOA ids whole
+    # and each sample's code is its stock row's
+    a, b, c = "E01000001", "E01000002", "E01000003"
+    records = [make_record(lsoa_id=c, count=0), make_record(lsoa_id=a),
+               make_record(lsoa_id=b, count=0),
+               make_record(lsoa_id=c, category=GAS_FLAT, floor_area=60.0)]
+    table = make_region_table({a: ("Wales", "Cardiff"), c: ("London", "Camden")})
+    params = derive_all(records, table)
+    for model in (FixedIndoor(19.0), TruncatedNormalIndoor(seed=5)):
+        samples = build_samples(params, spec_at(5.0, indoor_model=model), expansion=3)
+        assert samples.lsoa_ids is params.stock.lsoa_ids == (c, a, b)
+        per_row = len(samples) // 2
+        assert samples.lsoa_code.tolist() == [1] * per_row + [0] * per_row
+        assert [(s.lsoa_id, s.capacitance) for s in samples_of(samples)] == (
+            [(a, 25000.0)] * per_row + [(c, 15000.0)] * per_row)
 
 
 def test_uptake_fraction_bounds():
@@ -260,7 +296,7 @@ def test_parallel_equals_serial(small_stock):
     records, table = small_stock
     spec = spec_at(-5.0, indoor_model=TruncatedNormalIndoor(seed=21))
     params = derive_all(records, table, spec.capacity_level, spec.stock_variant)
-    samples = build_samples(records, params, spec)
+    samples = build_samples(params, spec)
     whole = run_scenario(samples, spec, Direction.POSITIVE)
     n = len(samples)
     for split in (0, 1, n // 3, n):
@@ -365,7 +401,7 @@ def test_bad_sample_collected_not_fatal():
     # a corrupt indoor temperature fails its own sample only
     record, _, params = one_record_setup()
     spec = spec_at(5.0)
-    good = samples_of(build_samples([record], params, spec))
+    good = samples_of(build_samples(params, spec))
     bad = good[0]._replace(indoor_temp=500.0)
     run = run_scenario(make_table([bad] + good), spec, Direction.NEGATIVE)
     assert len(pairs_of(run)) == 1
