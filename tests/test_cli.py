@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from heatflex import default_regions_path, load_stock
+from heatflex import cli, default_regions_path, load_stock
 from heatflex.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 SCENARIO_FIXED = """\
@@ -174,29 +174,83 @@ def _benchmark_runs(runner):
     return runs
 
 
-def _export_digests(runner) -> dict[str, dict[str, str]]:
+# Drawn indoor temperatures from 0 to 70 C on a positive run at 0 C outdoors:
+# zero rows (at or above the 24 C ceiling), finite and unbounded rows (by
+# region), and failed rows above rc's 60 C limit.
+SCENARIO_HOT_TAIL = """\
+[scenario]
+outdoor_temp = 0.0
+
+[indoor]
+model = truncated_normal
+mean = 25.0
+sd = 20.0
+low = 0.0
+high = 70.0
+seed = 11
+"""
+
+
+def _drop_local_authority(monkeypatch, lsoa_id):
+    """Make the CLI's lookup leave lsoa_id without a local authority. A lookup
+    file cannot: each of its rows names both, and derive refuses an LSOA with
+    no region."""
+    load = cli.load_region_table
+
+    def load_without(*args):
+        table = load(*args)
+        del table.lsoa_to_local_authority[lsoa_id]
+        return table
+
+    monkeypatch.setattr(cli, "load_region_table", load_without)
+
+
+def _export_digests(runner, monkeypatch) -> dict[str, dict[str, str]]:
     """Run each benchmark command line on a 2,000-dwelling synth stock in the
-    working directory; return the SHA-256 of every exported file, by run and path."""
+    working directory, then an LA-level flex with failed samples and an
+    unresolved LSOA on a 6,000-dwelling one; return the SHA-256 of every
+    exported file, by run and path."""
+    def digests_of(argv):
+        assert main(argv) == EXIT_OK, argv
+        found = {
+            path.relative_to("out").as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path("out").rglob("*")) if path.is_file()
+        }
+        shutil.rmtree("out")
+        return found
+
     assert main(["synth", "--dwellings", "2000", "--seed", "3", "--out", "stock.csv",
                  "--lookup-out", "lookup.csv"]) == EXIT_OK
     digests = {}
     for name, scenario_text, argv in _benchmark_runs(runner):
         Path("scenario.ini").write_text(scenario_text, encoding="utf-8")
-        assert main(argv) == EXIT_OK, name
-        digests[name] = {
-            path.relative_to("out").as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(Path("out").rglob("*")) if path.is_file()
-        }
-        shutil.rmtree("out")
+        digests[name] = digests_of(argv)
+
+    assert main(["synth", "--dwellings", "6000", "--seed", "3", "--out", "mixed.csv",
+                 "--lookup-out", "mixed_lookup.csv"]) == EXIT_OK
+    Path("hot.ini").write_text(SCENARIO_HOT_TAIL, encoding="utf-8")
+    _drop_local_authority(monkeypatch, load_stock("mixed.csv").lsoa_ids[0])
+    digests["flex_la_failed_unresolved"] = digests_of([
+        "flex", "--stock", "mixed.csv", "--lookup", "mixed_lookup.csv", "--scenario",
+        "hot.ini", "--direction", "pos", "--level", "la", "--expansion", "2", "--out", "out"])
     return digests
 
 
 # SHA-256 of every file the benchmark command lines export on the small
-# stock. Last recorded when durations moved to the log1p form and group rows
-# of summary.csv stopped writing excluded_power_w; the vectorised draws
-# before that left every digest unchanged. A change that alters any exported
-# byte fails here.
+# stock, and of the failed-and-unresolved LA run. Last recorded when
+# durations moved to the log1p form and group rows of summary.csv stopped
+# writing excluded_power_w; the vectorised draws before that left every
+# digest unchanged, and flex_la_failed_unresolved was added later without
+# re-pinning the others. A change that alters any exported byte fails here.
 GOLDEN_EXPORTS = {
+    "flex_la_failed_unresolved": {
+        "envelope.csv":
+            "3777f84da4f918a07613b29f2117ba5fecc948da66114ce37016ba53387a691d",
+        "summary.csv":
+            "a4f193b42123c6ee325370c6de6f59b9266d7a40e59a6f037f748b2644ca5846",
+        "unresolved.csv":
+            "5ec6185b31b6ab749f201a3b2df8dc8014adc1abd5074fac9826037b33b03bee",
+    },
     "flex_lsoa_fixed": {
         "envelope.csv":
             "786657ee476effa88300df3d779c8cd049a82b3eb969c3753e884c49bc3740b9",
@@ -265,10 +319,11 @@ GOLDEN_EXPORTS = {
 def test_benchmark_argv_contract(tmp_path, monkeypatch):
     # the benchmark runs these exact command lines (hidden --workers flag,
     # '--values=-4,...'); they must keep working on a small stock and keep
-    # exporting the same bytes
+    # exporting the same bytes, as must a run whose rollup leaves out failed
+    # samples and an unresolved LSOA
     runner = _load_benchmark_runner()
     monkeypatch.chdir(tmp_path)
-    assert _export_digests(runner) == GOLDEN_EXPORTS
+    assert _export_digests(runner, monkeypatch) == GOLDEN_EXPORTS
 
 
 def test_tracer_runs_every_workload(tmp_path, monkeypatch):
