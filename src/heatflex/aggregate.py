@@ -24,6 +24,7 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -80,27 +81,57 @@ def _power(run: ScenarioRun) -> np.ndarray:
     return run.samples.weight * np.abs(run.magnitude)
 
 
-def _check_single_direction(run: ScenarioRun) -> None:
+def _sums(code: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The float sum of weights per code 0..n-1, added in row order (np.bincount
+    gives integers when there are no rows)."""
+    return np.bincount(code, weights=weights, minlength=n).astype(float, copy=False)
+
+
+def _fold(run: ScenarioRun, group: np.ndarray, n: int) -> tuple[list[Envelope], np.ndarray]:
+    """The envelope and finite energy (Wh) of each group 0..n-1 of one run.
+
+    group holds each row's group, or -1 for a row in none. The rows are
+    ordered once by (group, duration); every sum is one np.bincount, which
+    adds in row order, so each group's sums are the floats a loop over its
+    rows in sample order gives.
+    """
     if (run.magnitude > 0).any() and (run.magnitude < 0).any():
         raise ValueError("outcomes mix demand-increase and demand-reduction services")
+    power = _power(run)
+    member = group >= 0
+    unbounded = member & (run.kind == UNBOUNDED)
+    floors = _sums(group[unbounded], power[unbounded], n)
+    finite = np.flatnonzero(member & (run.kind == FINITE))
+    code, duration, power = group[finite], run.duration[finite], power[finite]
+    energy = _sums(code, power * duration / 3600.0, n)
+
+    # by group, then duration; numpy sorts 8- and 16-bit codes stably by radix
+    order = np.argsort(duration)
+    order = order[np.argsort(code[order].astype(np.min_scalar_type(n)), kind="stable")]
+    code, duration = code[order], duration[order]
+    first = np.ones(len(order), dtype=bool)  # the first row of each (group, duration) slot
+    first[1:] = (code[1:] != code[:-1]) | (duration[1:] != duration[:-1])
+    slot = np.empty(len(order), dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    mass = _sums(slot, power, 0).tolist()  # per slot, added in sample order
+    bounds = np.searchsorted(code[first], np.arange(n + 1)).tolist()
+    durations = duration[first].tolist()
+
+    envelopes = []
+    for lo, hi, floor in zip(bounds, bounds[1:], floors.tolist()):
+        # power at each duration: the floor plus the mass at it and at every
+        # longer duration, added from the longest duration down
+        running = list(accumulate(reversed(mass[lo:hi]), initial=floor))[:0:-1]
+        envelopes.append(Envelope(breakpoints=tuple(zip(durations[lo:hi], running)),
+                                  total_power=running[0] if running else floor,
+                                  unbounded_power=floor))
+    return envelopes, energy
 
 
 def build_envelope(run: ScenarioRun) -> Envelope:
     """Exact step envelope of one direction's outcomes."""
-    _check_single_direction(run)
-    power = _power(run)
-    unbounded = _ordered_sum(power[run.kind == UNBOUNDED])
-    finite = run.kind == FINITE
-    durations, slot = np.unique(run.duration[finite], return_inverse=True)
-    mass = np.bincount(slot, weights=power[finite], minlength=len(durations))
-    # power at each duration: the floor plus the mass at it and at every
-    # longer duration, added from the longest duration down
-    running = np.cumsum(np.concatenate(([unbounded], mass[::-1])))[:0:-1]
-    breakpoints = tuple(zip(durations.tolist(), running.tolist()))
-    total = breakpoints[0][1] if breakpoints else unbounded
-    return Envelope(
-        breakpoints=breakpoints, total_power=total, unbounded_power=unbounded
-    )
+    (envelope,), _ = _fold(run, np.zeros(len(run), dtype=np.intp), 1)
+    return envelope
 
 
 @dataclass(frozen=True)
@@ -118,13 +149,11 @@ class FiniteEnergy:
 
 def finite_energy(run: ScenarioRun) -> FiniteEnergy:
     """Sum of weight * |magnitude| * duration over finite samples, in Wh."""
-    _check_single_direction(run)
-    power = _power(run)
-    finite, unbounded = run.kind == FINITE, run.kind == UNBOUNDED
+    (envelope,), (energy,) = _fold(run, np.zeros(len(run), dtype=np.intp), 1)
     return FiniteEnergy(
-        energy_wh=_ordered_sum(power[finite] * run.duration[finite] / 3600.0),
-        unbounded_count=int(np.count_nonzero(unbounded)),
-        unbounded_power_w=_ordered_sum(power[unbounded]),
+        energy_wh=float(energy),
+        unbounded_count=int(np.count_nonzero(run.kind == UNBOUNDED)),
+        unbounded_power_w=envelope.unbounded_power,
     )
 
 
@@ -182,53 +211,33 @@ def rollup(run: ScenarioRun, regions: RegionTable, level: Level) -> AggregateRep
     Failed samples belong to no group. Samples whose LSOA cannot be resolved
     at the requested level are listed and their power reported as excluded;
     the run continues without them. The group key is looked up once per
-    distinct LSOA, and a stable sort keeps each group's samples in order.
+    distinct LSOA; every group is then folded in one pass over the run.
     """
     samples, kept = run.samples, run.kind != FAILED
     key_of = {code: _lsoa_group_key(samples.lsoa_ids[code], regions, level)
               for code in np.unique(samples.lsoa_code[kept]).tolist()}
     keys = sorted({key for key in key_of.values() if key is not None})
-    index = {key: g for g, key in enumerate(keys)}
-    group_of_lsoa = np.full(len(samples.lsoa_ids), -1, dtype=np.intp)
-    for code, key in key_of.items():
-        if key is not None:
-            group_of_lsoa[code] = index[key]
-    group = group_of_lsoa[samples.lsoa_code]
-    unresolved = (group < 0) & kept
-    group[~kept] = -2
+    index = {key: g for g, key in enumerate(keys)}  # an LSOA with no key maps to -1
+    group_of_lsoa = np.array([index.get(key_of.get(code), -1)
+                              for code in range(len(samples.lsoa_ids))], dtype=np.intp)
+    group = np.where(kept, group_of_lsoa[samples.lsoa_code], -1)
 
-    order = np.argsort(group, kind="stable")  # failed (-2), then unresolved (-1) rows first
-    bounds = np.searchsorted(group[order], np.arange(len(keys) + 1)).tolist()
-    ordered = run[order]
-
-    groups: dict[str, GroupStats] = {}
-    total_installed = 0.0
-    total_magnitude = 0.0
-    total_unbounded = 0.0
-    total_energy = 0.0
-    for key, lo, hi in zip(keys, bounds, bounds[1:]):
-        part = ordered[lo:hi]
-        envelope = build_envelope(part)
-        installed = _ordered_sum(part.samples.weight * (part.samples.hp_size * 1000.0))
-        energy = finite_energy(part).energy_wh
-        groups[key] = GroupStats(
-            envelope=envelope, installed_thermal_w=installed, finite_energy_wh=energy
-        )
-        total_installed += installed
-        total_magnitude += envelope.total_power
-        total_unbounded += envelope.unbounded_power
-        total_energy += energy
-
+    envelopes, energy = _fold(run, group, len(keys))
+    member = group >= 0
+    installed = _sums(group[member], (samples.weight * (samples.hp_size * 1000.0))[member],
+                      len(keys))
+    groups = {key: GroupStats(envelope, w, wh)  # installed W, finite energy Wh
+              for key, envelope, w, wh in zip(keys, envelopes, installed.tolist(), energy.tolist())}
     return AggregateReport(
         level=level,
         groups=groups,
-        total_installed_thermal_w=total_installed,
-        total_magnitude_at_zero_w=total_magnitude,
-        total_unbounded_w=total_unbounded,
-        total_finite_energy_wh=total_energy,
+        total_installed_thermal_w=_ordered_sum(installed),
+        total_magnitude_at_zero_w=_ordered_sum(np.array([e.total_power for e in envelopes])),
+        total_unbounded_w=_ordered_sum(np.array([e.unbounded_power for e in envelopes])),
+        total_finite_energy_wh=_ordered_sum(energy),
         unresolved_lsoas=tuple(sorted(samples.lsoa_ids[code]
                                       for code, key in key_of.items() if key is None)),
-        excluded_power_w=_ordered_sum(_power(run)[unresolved]),
+        excluded_power_w=_ordered_sum(_power(run)[kept & (group < 0)]),
     )
 
 

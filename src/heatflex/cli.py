@@ -157,17 +157,19 @@ def _parse_winsorize(raw: str) -> tuple[float, float] | None:
     if raw == "none":
         return None
     try:
-        lo_s, hi_s = raw.split(",")
-        return float(lo_s), float(hi_s)
+        lo, hi = map(config.finite_float, raw.split(","))
     except ValueError:
         raise ConfigError(f"bad --winsorize value {raw!r}, expected LO,HI or 'none'") from None
+    if not 0 <= lo < hi <= 1:
+        raise ConfigError(f"bad --winsorize value {raw!r}, need 0 <= LO < HI <= 1")
+    return lo, hi
 
 
 def _load_inputs(args, timer: _Timer):
+    bounds = _parse_winsorize(args.winsorize)  # a bad value exits 1 before the stock loads
     with timer.stage("load stock") as st:
         records = load_stock(args.stock)
         st.done(f"{len(records)} records")
-    bounds = _parse_winsorize(args.winsorize)
     if bounds is not None:
         with timer.stage("winsorize") as st:
             records = winsorize_stock(records, *bounds)
@@ -203,7 +205,8 @@ def _run_jobs(args, jobs: list[tuple[str, scenario.ScenarioSpec]]) -> int:
         with timer.stage("aggregate") as st:
             report = aggregate.rollup(run, regions, level)
             st.done(f"{len(report.groups)} group(s)")
-        aggregate.export_report(report, fmt, Path(args.out) / subdir)
+        with timer.stage("export"):
+            aggregate.export_report(report, fmt, Path(args.out) / subdir)
         if run.errors:
             _report_failures(run.errors)
         del run, report  # free this run before the next one is evaluated

@@ -83,8 +83,19 @@ class TruncatedNormalIndoor:
             raise ConfigError(f"need a finite mean and sd > 0, got {self.mean}, {self.sd}")
         if not -math.inf < self.low < self.high < math.inf:
             raise ConfigError(f"truncation bounds ({self.low}, {self.high}) need finite low < high")
+        if ndtr(self._standard_interval()[1]) == 0.0:  # every draw would be -inf or inf
+            raise ConfigError(f"truncation bounds ({self.low}, {self.high}) lie too far from "
+                              f"mean {self.mean} for sd {self.sd}: their probability is 0.0")
         if self.seed < 0:
             raise ConfigError(f"indoor seed must be a non-negative integer, got {self.seed}")
+
+    def _standard_interval(self) -> tuple[float, float, float]:
+        """(a, b, sign): draws are mean + sign * sd * z, z normal on [a, b]. An
+        interval above the mean is drawn as its mirror [-b, -a]: ndtr keeps its
+        relative precision in the lower tail only."""
+        a = (self.low - self.mean) / self.sd
+        b = (self.high - self.mean) / self.sd
+        return (-b, -a, -1.0) if a > 0 else (a, b, 1.0)
 
 
 IndoorTempModel = FixedIndoor | TruncatedNormalIndoor
@@ -202,17 +213,8 @@ def _philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
 
 
 def _truncated_normal(model: TruncatedNormalIndoor, u: np.ndarray) -> np.ndarray:
-    """Map uniforms of any shape through the truncated normal quantile function.
-
-    An interval above the mean is drawn as its mirror [-b, -a] and negated:
-    ndtr keeps its relative precision in the lower tail only, and far in the
-    upper tail both bounds would round to 1.0.
-    """
-    a = (model.low - model.mean) / model.sd
-    b = (model.high - model.mean) / model.sd
-    sign = 1.0
-    if a > 0:
-        a, b, sign = -b, -a, -1.0
+    """Map uniforms of any shape through the truncated normal quantile function."""
+    a, b, sign = model._standard_interval()
     fa, fb = ndtr(a), ndtr(b)
     return model.mean + sign * model.sd * ndtri(fa + u * (fb - fa))
 

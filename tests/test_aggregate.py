@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatflex import (
     AggregateReport,
@@ -13,10 +15,13 @@ from heatflex import (
     Duration,
     Envelope,
     ExportFormat,
+    FiniteEnergy,
     FixedIndoor,
     FlexOutcome,
     GroupStats,
     Level,
+    SampleTable,
+    ScenarioRun,
     ScenarioSpec,
     TruncatedNormalIndoor,
     build_envelope,
@@ -30,6 +35,7 @@ from heatflex import (
 )
 
 from conftest import make_region_table, make_run, make_sample
+from heatflex.scenario import FAILED, FINITE, UNBOUNDED, ZERO
 
 
 def outcome(mag, duration):
@@ -213,6 +219,120 @@ def test_rollup_reports_unresolved_lsoas():
     assert report.unresolved_lsoas == ("E01999999",)
     assert report.excluded_power_w == pytest.approx(40.0)
     assert report.total_magnitude_at_zero_w == pytest.approx(330.0)
+
+
+def _reference_sum(values):
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
+
+
+def reference_envelope(run):
+    """The per-group envelope the one-pass fold replaced: np.unique, np.bincount
+    and a reverse np.cumsum seeded with the unbounded power."""
+    power = run.samples.weight * np.abs(run.magnitude)
+    unbounded = _reference_sum(power[run.kind == UNBOUNDED])
+    finite = run.kind == FINITE
+    durations, slot = np.unique(run.duration[finite], return_inverse=True)
+    mass = np.bincount(slot, weights=power[finite], minlength=len(durations))
+    running = np.cumsum(np.concatenate(([unbounded], mass[::-1])))[:0:-1]
+    breakpoints = tuple(zip(durations.tolist(), running.tolist()))
+    total = breakpoints[0][1] if breakpoints else unbounded
+    return Envelope(breakpoints=breakpoints, total_power=total, unbounded_power=unbounded)
+
+
+def reference_rollup(run, regions, level):
+    """The per-group loop the one-pass rollup replaced: each group's rows cut
+    out of the run in sample order and folded on their own."""
+    def key_of(lsoa_id):
+        return {Level.NATIONAL: "national", Level.LSOA: lsoa_id,
+                Level.REGION: regions.region_of(lsoa_id),
+                Level.LOCAL_AUTHORITY: regions.local_authority_of(lsoa_id)}[level]
+
+    power = run.samples.weight * np.abs(run.magnitude)
+    rows_of, unresolved, excluded = {}, set(), []
+    for i, code in enumerate(run.samples.lsoa_code.tolist()):
+        if run.kind[i] == FAILED:
+            continue
+        lsoa_id = run.samples.lsoa_ids[code]
+        key = key_of(lsoa_id)
+        if key is None:
+            unresolved.add(lsoa_id)
+            excluded.append(power[i])
+        else:
+            rows_of.setdefault(key, []).append(i)
+
+    groups = {}
+    totals = [0.0, 0.0, 0.0, 0.0]
+    for key in sorted(rows_of):
+        part = run[np.array(rows_of[key])]
+        envelope = reference_envelope(part)
+        part_power = part.samples.weight * np.abs(part.magnitude)
+        finite = part.kind == FINITE
+        installed = _reference_sum(part.samples.weight * (part.samples.hp_size * 1000.0))
+        energy = _reference_sum(part_power[finite] * part.duration[finite] / 3600.0)
+        groups[key] = GroupStats(envelope=envelope, installed_thermal_w=installed,
+                                 finite_energy_wh=energy)
+        for j, value in enumerate((installed, envelope.total_power,
+                                   envelope.unbounded_power, energy)):
+            totals[j] += value
+    return AggregateReport(
+        level=level, groups=groups,
+        total_installed_thermal_w=totals[0], total_magnitude_at_zero_w=totals[1],
+        total_unbounded_w=totals[2], total_finite_energy_wh=totals[3],
+        unresolved_lsoas=tuple(sorted(unresolved)),
+        excluded_power_w=_reference_sum(np.array(excluded, dtype=float)),
+    )
+
+
+# eleven LSOAs in two regions and three local authorities, the last of them
+# with no local authority; E01099999 is in no lookup
+ORACLE_LOOKUP = {f"E0100{i:04d}": (("Wales", "London")[i % 2], f"LA {i % 3}")
+                 for i in range(11)}
+ORACLE_LSOAS = (*ORACLE_LOOKUP, "E01099999")
+
+
+@st.composite
+def oracle_runs(draw):
+    """Up to 400 rows of every kind over the oracle LSOAs, all in one
+    direction; most finite durations come from a short list, so durations
+    repeat within and across groups."""
+    n = draw(st.integers(0, 400))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = rng.choice(np.array([ZERO, FINITE, FINITE, UNBOUNDED, FAILED], dtype=np.int8), n)
+    magnitude = sign * rng.uniform(0.0, 5000.0, n)
+    magnitude[(kind == ZERO) | (kind == FAILED)] = 0.0
+    duration = np.where(rng.random(n) < 0.7, rng.choice([60.0, 600.0, 3600.0], n),
+                        rng.uniform(1.0, 1e5, n))
+    duration[kind == UNBOUNDED] = np.inf
+    duration[kind == ZERO] = 0.0
+    duration[kind == FAILED] = np.nan
+    samples = SampleTable(ORACLE_LSOAS, rng.integers(0, len(ORACLE_LSOAS), n),
+                          rng.uniform(0.01, 10.0, n), np.full(n, 19.0), np.full(n, 0.2),
+                          np.full(n, 25000.0), rng.uniform(0.5, 20.0, n))
+    return ScenarioRun(samples=samples,
+                       spec=ScenarioSpec(outdoor_temp=0.0, indoor_model=FixedIndoor()),
+                       direction=Direction.POSITIVE if sign > 0 else Direction.NEGATIVE,
+                       magnitude=magnitude, duration=duration, kind=kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_runs())
+def test_rollup_equals_the_per_group_loop(run):
+    regions = make_region_table(ORACLE_LOOKUP)
+    del regions.lsoa_to_local_authority["E01000010"]
+    for level in Level:
+        assert rollup(run, regions, level) == reference_rollup(run, regions, level), level
+    whole = reference_envelope(run)
+    assert build_envelope(run) == whole
+    power = run.samples.weight * np.abs(run.magnitude)
+    finite = run.kind == FINITE
+    assert finite_energy(run) == FiniteEnergy(
+        energy_wh=_reference_sum(power[finite] * run.duration[finite] / 3600.0),
+        unbounded_count=int(np.count_nonzero(run.kind == UNBOUNDED)),
+        unbounded_power_w=whole.unbounded_power)
 
 
 # ---------------------------------------------------------------------------

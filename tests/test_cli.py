@@ -466,15 +466,28 @@ def test_failed_samples_counted_by_reason(workspace, capsys):
 def test_usage_errors_exit_1(workspace, capsys):
     assert main(["flex", "--bogus-flag"]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
-    # bad winsorize bounds are a configuration problem
-    assert main([
-        "derive",
-        "--stock", str(workspace / "stock.csv"),
-        "--lookup", str(workspace / "stock_lookup.csv"),
-        "--winsorize", "nonsense",
-        "--out", str(workspace / "p.csv"),
-    ]) == EXIT_USAGE
+    # bad winsorize bounds are a configuration problem, found before the
+    # stock is read: a missing stock file would exit 3
+    for bounds in ("nonsense", "0.9,0.1", "0,1.5", "nan,0.9"):
+        assert main([
+            "derive",
+            "--stock", str(workspace / "no_such_stock.csv"),
+            "--lookup", str(workspace / "stock_lookup.csv"),
+            "--winsorize", bounds,
+            "--out", str(workspace / "p.csv"),
+        ]) == EXIT_USAGE, bounds
+        assert "--winsorize" in capsys.readouterr().err
+
+
+def test_verbose_times_every_stage(workspace, capsys):
     capsys.readouterr()
+    assert main(["flex", "--stock", str(workspace / "stock.csv"),
+                 "--lookup", str(workspace / "stock_lookup.csv"),
+                 "--scenario", str(workspace / "scenario.ini"), "--direction", "neg",
+                 "--out", str(workspace / "timed"), "--verbose"]) == EXIT_OK
+    stages = re.findall(r"^\[heatflex\] ([a-z ]+): \d+\.\d{3}s", capsys.readouterr().err, re.M)
+    assert stages == ["load stock", "winsorize", "load regions", "evaluate", "aggregate",
+                      "export"]
 
 
 def test_bad_scenario_exits_1(workspace):

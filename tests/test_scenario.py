@@ -138,6 +138,21 @@ def test_upper_tail_interval_draws_the_mirror_of_the_lower_one():
     np.testing.assert_allclose(scenario._truncated_normal(model, u), direct, rtol=1e-12)
 
 
+
+@pytest.mark.parametrize("low, high", [(-1.0, 0.0), (38.0, 39.0)])
+def test_interval_with_no_probability_is_refused(low, high):
+    # more than about 37.7 sd from the mean, in either tail, ndtr of the
+    # (mirrored) upper bound underflows to 0.0 and every draw would be infinite
+    with pytest.raises(ConfigError, match="probability is 0.0"):
+        TruncatedNormalIndoor(mean=19.0, sd=0.5, low=low, high=high)
+
+
+@pytest.mark.parametrize("low, high", [(-1.0, 0.17), (37.83, 39.0)])
+def test_interval_just_inside_the_limit_draws_within_it(low, high):
+    model = TruncatedNormalIndoor(mean=19.0, sd=0.5, low=low, high=high, seed=4)
+    temps = sample_indoor_temps(model, 1000, stream_key=9)
+    assert np.isfinite(temps).all() and ((low <= temps) & (temps <= high)).all()
+
 # The vectorised draw path must give numpy's own per-record streams bit for
 # bit: keys from SeedSequence([seed, stream_key]), uniforms from
 # Generator(Philox(key=...)). These edge values cross every word-count
