@@ -10,10 +10,12 @@ It is a non-increasing step function, exact over the distinct finite
 durations; unbounded samples set its floor. Envelope construction is a
 commutative fold, so partial envelopes built in parallel merge losslessly.
 
-Everything here works on the columns of a `ScenarioRun`. Sums run left to
-right in sample order (np.cumsum, not the pairwise np.sum), so each total is
-the same float a loop over the samples would give, and exports do not
-depend on how the sums are vectorised.
+Everything here works on the columns of a `ScenarioRun`, and a rollup folds
+every group in one pass: the finite rows are ordered once by (group,
+duration), and each sum over every group is one np.bincount. Sums run left
+to right in sample order (np.bincount and np.cumsum, not the pairwise
+np.sum), so each is the float a loop over the samples would give, and
+exports do not depend on how the sums are vectorised.
 """
 
 from __future__ import annotations
@@ -88,13 +90,8 @@ def _sums(code: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 
 
 def _fold(run: ScenarioRun, group: np.ndarray, n: int) -> tuple[list[Envelope], np.ndarray]:
-    """The envelope and finite energy (Wh) of each group 0..n-1 of one run.
-
-    group holds each row's group, or -1 for a row in none. The rows are
-    ordered once by (group, duration); every sum is one np.bincount, which
-    adds in row order, so each group's sums are the floats a loop over its
-    rows in sample order gives.
-    """
+    """The envelope and finite energy (Wh) of each group 0..n-1 of one run;
+    group holds each row's group, or -1 for a row in none."""
     if (run.magnitude > 0).any() and (run.magnitude < 0).any():
         raise ValueError("outcomes mix demand-increase and demand-reduction services")
     power = _power(run)
