@@ -15,19 +15,18 @@ every group in one pass: the finite rows are ordered once by (group,
 duration), and each sum over every group is one np.bincount. Sums run left
 to right in sample order (np.bincount and np.cumsum, not the pairwise
 np.sum), so each is the float a loop over the samples would give, and
-exports do not depend on how the sums are vectorised.
+exports do not depend on how the sums are vectorised. An envelope, too, is
+two float arrays, which the exporters turn into Python floats by chunks.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -38,6 +37,7 @@ from .regions import RegionTable
 from .scenario import FAILED, FINITE, UNBOUNDED, ScenarioRun
 
 DISPLAY_CAP_S = 86400.0  # 24 h, export/plotting cap only, never used in totals
+_CHUNK = 65536  # breakpoints turned into Python floats at a time by the exporters
 
 
 class Level(Enum):
@@ -47,31 +47,43 @@ class Level(Enum):
     NATIONAL = "national"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Envelope:
     """Step function of available power vs sustained duration.
 
-    breakpoints hold (duration_s, power_w) with strictly increasing
-    durations and the power available AT that duration (inclusive);
+    durations and power are 1-D float64 arrays, held read-only, with strictly
+    increasing durations and the power available AT each one (inclusive);
     total_power is the power at t = 0 and unbounded_power the floor beyond
-    the last finite duration.
+    the last finite duration. Equal envelopes have equal arrays and powers.
     """
 
-    breakpoints: tuple[tuple[float, float], ...]
+    durations: np.ndarray
+    power: np.ndarray
     total_power: float
     unbounded_power: float
+
+    def __post_init__(self):
+        for name in ("durations", "power"):
+            view = np.asarray(getattr(self, name), dtype=np.float64).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __eq__(self, other):
+        return (isinstance(other, Envelope) and self.total_power == other.total_power
+                and self.unbounded_power == other.unbounded_power
+                and np.array_equal(self.durations, other.durations)
+                and np.array_equal(self.power, other.power))
 
     def power_at(self, t: float) -> float:
         if t <= 0:
             return self.total_power
-        i = bisect.bisect_left(self.breakpoints, t, key=itemgetter(0))
-        if i >= len(self.breakpoints):
-            return self.unbounded_power
-        return self.breakpoints[i][1]
+        i = np.searchsorted(self.durations, t)
+        return self.unbounded_power if i >= len(self.durations) else float(self.power[i])
 
     @property
-    def durations(self) -> tuple[float, ...]:
-        return tuple(d for d, _ in self.breakpoints)
+    def breakpoints(self) -> tuple[tuple[float, float], ...]:
+        """(duration_s, power_w) pairs, built on each call from the arrays."""
+        return tuple(zip(self.durations.tolist(), self.power.tolist()))
 
 
 def _ordered_sum(values: np.ndarray) -> float:
@@ -98,7 +110,7 @@ def _fold(run: ScenarioRun, group: np.ndarray, n: int) -> tuple[list[Envelope], 
     member = group >= 0
     unbounded = member & (run.kind == UNBOUNDED)
     floors = _sums(group[unbounded], power[unbounded], n)
-    finite = np.flatnonzero(member & (run.kind == FINITE))
+    finite = member & (run.kind == FINITE)
     code, duration, power = group[finite], run.duration[finite], power[finite]
     energy = _sums(code, power * duration / 3600.0, n)
 
@@ -109,19 +121,28 @@ def _fold(run: ScenarioRun, group: np.ndarray, n: int) -> tuple[list[Envelope], 
     first = np.ones(len(order), dtype=bool)  # the first row of each (group, duration) slot
     first[1:] = (code[1:] != code[:-1]) | (duration[1:] != duration[:-1])
     slot = np.empty(len(order), dtype=np.intp)
-    slot[order] = np.cumsum(first) - 1
-    mass = _sums(slot, power, 0).tolist()  # per slot, added in sample order
-    bounds = np.searchsorted(code[first], np.arange(n + 1)).tolist()
-    durations = duration[first].tolist()
+    slot[order] = np.cumsum(first, dtype=np.intp)
+    slot -= 1
+    mass = _sums(slot, power, 0)  # per slot, added in sample order
+    del order, slot, power  # each row-sized array freed here lowers the peak
+    durations, slot_group = duration[first], code[first]
+    del code, duration
+    lo, hi = np.searchsorted(slot_group, [np.arange(n), np.arange(1, n + 1)])
 
-    envelopes = []
-    for lo, hi, floor in zip(bounds, bounds[1:], floors.tolist()):
-        # power at each duration: the floor plus the mass at it and at every
-        # longer duration, added from the longest duration down
-        running = list(accumulate(reversed(mass[lo:hi]), initial=floor))[:0:-1]
-        envelopes.append(Envelope(breakpoints=tuple(zip(durations[lo:hi], running)),
-                                  total_power=running[0] if running else floor,
-                                  unbounded_power=floor))
+    # power at each duration: the floor plus the mass at it and at every
+    # longer duration, added from the longest duration down. Each group's
+    # masses and then its floor sit in one flat array; read backwards, a
+    # group runs [floor, mass at its longest duration, ..., at its shortest],
+    # so its sums are one running sum in place on a reversed view
+    # (np.add.accumulate, what np.cumsum calls, without its per-call overhead)
+    flat = np.insert(mass, hi, floors)
+    backwards, ends = flat[::-1], len(flat) - lo - np.arange(n)
+    for a, b in zip((ends - (hi - lo) - 1).tolist(), ends.tolist()):
+        sums = backwards[a:b]
+        np.add.accumulate(sums, out=sums)
+    totals, levels = flat[lo + np.arange(n)], np.delete(flat, hi + np.arange(n))
+    envelopes = [Envelope(durations[a:b], levels[a:b], total, floor) for a, b, total, floor
+                 in zip(lo.tolist(), hi.tolist(), totals.tolist(), floors.tolist())]
     return envelopes, energy
 
 
@@ -244,6 +265,18 @@ class ExportFormat(Enum):
 
 
 _TOTAL_KEY = "__total__"
+# The summary of a group and of the totals: summary.csv's columns and
+# report.json's keys, in the order of AggregateReport's totals.
+_FIELDS = ("installed_w", "magnitude_at_0_w", "unbounded_w", "finite_energy_wh")
+
+
+def _fields(g: GroupStats) -> tuple[float, float, float, float]:
+    return g.installed_thermal_w, g.magnitude_at_zero_w, g.unbounded_power_w, g.finite_energy_wh
+
+
+def _totals(report: AggregateReport) -> tuple[float, float, float, float]:
+    return (report.total_installed_thermal_w, report.total_magnitude_at_zero_w,
+            report.total_unbounded_w, report.total_finite_energy_wh)
 
 
 def export_report(report: AggregateReport, fmt: ExportFormat, out_dir: str | Path) -> list[Path]:
@@ -278,27 +311,15 @@ def _export_csv(report: AggregateReport, out_dir: Path) -> list[Path]:
             cell = io.StringIO()
             csv.writer(cell, lineterminator="\n").writerow([key, ""])
             prefix = cell.getvalue()[:-1]
-            fh.writelines(f"{prefix}{d!r},{p!r}\n"
-                          for d, p in report.groups[key].envelope.breakpoints)
+            fh.writelines(f"{prefix}{d!r},{p!r}\n" for d, p in _pairs(report.groups[key].envelope))
 
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([
-            "level", "key", "installed_w", "magnitude_at_0_w",
-            "unbounded_w", "finite_energy_wh", "excluded_power_w",
-        ])
-        for key in sorted(report.groups):
-            g = report.groups[key]
-            writer.writerow([
-                report.level.value, key, repr(g.installed_thermal_w),
-                repr(g.magnitude_at_zero_w), repr(g.unbounded_power_w),
-                repr(g.finite_energy_wh), "",  # excluded power belongs to no group
-            ])
-        writer.writerow([
-            report.level.value, _TOTAL_KEY, repr(report.total_installed_thermal_w),
-            repr(report.total_magnitude_at_zero_w), repr(report.total_unbounded_w),
-            repr(report.total_finite_energy_wh), repr(report.excluded_power_w),
-        ])
+        writer.writerow(["level", "key", *_FIELDS, "excluded_power_w"])
+        for key in sorted(report.groups):  # excluded power belongs to no group
+            writer.writerow([report.level.value, key, *map(repr, _fields(report.groups[key])), ""])
+        writer.writerow([report.level.value, _TOTAL_KEY, *map(repr, _totals(report)),
+                         repr(report.excluded_power_w)])
 
     if report.unresolved_lsoas:
         unresolved_path = out_dir / "unresolved.csv"
@@ -321,22 +342,9 @@ _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _export_json(report: AggregateReport, path: Path) -> Path:
     doc = {
         "level": report.level.value,
-        "groups": {
-            key: {
-                "installed_w": g.installed_thermal_w,
-                "magnitude_at_0_w": g.magnitude_at_zero_w,
-                "unbounded_w": g.unbounded_power_w,
-                "finite_energy_wh": g.finite_energy_wh,
-                "breakpoints": "@",
-            }
-            for key, g in report.groups.items()
-        },
-        "totals": {
-            "installed_w": report.total_installed_thermal_w,
-            "magnitude_at_0_w": report.total_magnitude_at_zero_w,
-            "unbounded_w": report.total_unbounded_w,
-            "finite_energy_wh": report.total_finite_energy_wh,
-        },
+        "groups": {key: dict(zip(_FIELDS, _fields(g)), breakpoints="@")
+                   for key, g in report.groups.items()},
+        "totals": dict(zip(_FIELDS, _totals(report))),
         "unresolved_lsoas": list(report.unresolved_lsoas),
         "excluded_power_w": report.excluded_power_w,
     }
@@ -347,10 +355,18 @@ def _export_json(report: AggregateReport, path: Path) -> Path:
         fh.write(head)
         for key, tail in zip(sorted(report.groups), tails):
             fh.write('"breakpoints": ')
-            fh.writelines(_json_pairs(report.groups[key].envelope.breakpoints, indent=6))
+            fh.writelines(_json_pairs(_pairs(report.groups[key].envelope), indent=6))
             fh.write(tail)
         fh.write("\n")
     return path
+
+
+def _pairs(envelope: Envelope) -> Iterator[tuple[float, float]]:
+    """The breakpoints as pairs of Python floats, converted _CHUNK at a time,
+    so that a long envelope is never held whole as Python objects."""
+    d, p = envelope.durations, envelope.power
+    return chain.from_iterable(zip(d[i:i + _CHUNK].tolist(), p[i:i + _CHUNK].tolist())
+                               for i in range(0, len(d), _CHUNK))
 
 
 def _json_pairs(pairs: Iterable[tuple[float, float]], indent: int) -> Iterator[str]:
@@ -376,74 +392,49 @@ def load_report(path_or_dir: str | Path, fmt: ExportFormat) -> AggregateReport:
     return _load_csv(path)
 
 
+def _group(fields, durations, power) -> GroupStats:
+    """A group from its summary, keyed by _FIELDS, and its envelope columns."""
+    installed, magnitude, unbounded, energy = (float(fields[name]) for name in _FIELDS)
+    return GroupStats(Envelope(durations, power, magnitude, unbounded), installed, energy)
+
+
 def _load_json(path: Path) -> AggregateReport:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     groups = {}
     for key, g in doc["groups"].items():
-        breakpoints = tuple((float(d), float(p)) for d, p in g["breakpoints"])
-        envelope = Envelope(
-            breakpoints=breakpoints,
-            total_power=float(g["magnitude_at_0_w"]),
-            unbounded_power=float(g["unbounded_w"]),
-        )
-        groups[key] = GroupStats(
-            envelope=envelope,
-            installed_thermal_w=float(g["installed_w"]),
-            finite_energy_wh=float(g["finite_energy_wh"]),
-        )
-    return AggregateReport(
-        level=Level(doc["level"]),
-        groups=groups,
-        total_installed_thermal_w=float(doc["totals"]["installed_w"]),
-        total_magnitude_at_zero_w=float(doc["totals"]["magnitude_at_0_w"]),
-        total_unbounded_w=float(doc["totals"]["unbounded_w"]),
-        total_finite_energy_wh=float(doc["totals"]["finite_energy_wh"]),
-        unresolved_lsoas=tuple(doc["unresolved_lsoas"]),
-        excluded_power_w=float(doc["excluded_power_w"]),
-    )
+        pairs = np.array(g["breakpoints"], dtype=np.float64).reshape(len(g["breakpoints"]), 2)
+        groups[key] = _group(g, pairs[:, 0], pairs[:, 1])
+    return AggregateReport(Level(doc["level"]), groups,
+                           *(float(doc["totals"][name]) for name in _FIELDS),
+                           unresolved_lsoas=tuple(doc["unresolved_lsoas"]),
+                           excluded_power_w=float(doc["excluded_power_w"]))
 
 
 def _load_csv(out_dir: Path) -> AggregateReport:
-    breakpoints_by_key: dict[str, list[tuple[float, float]]] = {}
+    columns_by_key: dict[str, tuple[list[float], list[float]]] = {}
     with open(out_dir / "envelope.csv", newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            breakpoints_by_key.setdefault(row["key"], []).append(
-                (float(row["duration_s"]), float(row["power_w"]))
-            )
+            durations, power = columns_by_key.setdefault(row["key"], ([], []))
+            durations.append(float(row["duration_s"]))
+            power.append(float(row["power_w"]))
 
     groups: dict[str, GroupStats] = {}
     level: Level | None = None
-    totals: dict[str, float] = {}
-    excluded = 0.0
+    totals: dict[str, str] | None = None
     with open(out_dir / "summary.csv", newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             level = Level(row["level"])
             if row["key"] == _TOTAL_KEY:
-                totals = {
-                    "installed": float(row["installed_w"]),
-                    "magnitude": float(row["magnitude_at_0_w"]),
-                    "unbounded": float(row["unbounded_w"]),
-                    "energy": float(row["finite_energy_wh"]),
-                }
-                excluded = float(row["excluded_power_w"])
-                continue
-            if row["excluded_power_w"]:
+                totals = row
+            elif row["excluded_power_w"]:
                 raise DataValidationError(
                     f"{out_dir}: summary.csv group {row['key']!r} has excluded_power_w "
                     f"{row['excluded_power_w']!r}; only the {_TOTAL_KEY} row carries it"
                 )
-            envelope = Envelope(
-                breakpoints=tuple(breakpoints_by_key.get(row["key"], [])),
-                total_power=float(row["magnitude_at_0_w"]),
-                unbounded_power=float(row["unbounded_w"]),
-            )
-            groups[row["key"]] = GroupStats(
-                envelope=envelope,
-                installed_thermal_w=float(row["installed_w"]),
-                finite_energy_wh=float(row["finite_energy_wh"]),
-            )
-    if level is None or not totals:
+            else:
+                groups[row["key"]] = _group(row, *columns_by_key.get(row["key"], ([], [])))
+    if level is None or totals is None:
         raise DataValidationError(f"{out_dir}: summary.csv is empty or lacks a total row")
 
     unresolved: tuple[str, ...] = ()
@@ -452,16 +443,9 @@ def _load_csv(out_dir: Path) -> AggregateReport:
         with open(unresolved_path, newline="", encoding="utf-8") as fh:
             unresolved = tuple(row["lsoa_id"] for row in csv.DictReader(fh))
 
-    return AggregateReport(
-        level=level,
-        groups=groups,
-        total_installed_thermal_w=totals["installed"],
-        total_magnitude_at_zero_w=totals["magnitude"],
-        total_unbounded_w=totals["unbounded"],
-        total_finite_energy_wh=totals["energy"],
-        unresolved_lsoas=unresolved,
-        excluded_power_w=excluded,
-    )
+    return AggregateReport(level, groups, *(float(totals[name]) for name in _FIELDS),
+                           unresolved_lsoas=unresolved,
+                           excluded_power_w=float(totals["excluded_power_w"]))
 
 
 def export_plot_grid(
@@ -477,12 +461,17 @@ def export_plot_grid(
     """
     if grid_s <= 0:
         raise HeatflexError(f"grid step must be > 0, got {grid_s}")
+    grid, t = [], 0.0
+    while t <= cap_s:
+        grid.append(t)
+        t += grid_s
+    # power_at over the whole grid: the first breakpoint at or after each t
+    steps = np.append(envelope.power, envelope.unbounded_power)
+    power = np.where(np.array(grid) <= 0, envelope.total_power,
+                     steps[np.searchsorted(envelope.durations, grid)])
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["duration_s", "power_w"])
-        t = 0.0
-        while t <= cap_s:
-            writer.writerow([repr(t), repr(envelope.power_at(t))])
-            t += grid_s
+        writer.writerows([repr(t), repr(p)] for t, p in zip(grid, power.tolist()))
     return path

@@ -77,7 +77,8 @@ def load_region_table(
     lookup file columns:  lsoa_id, region, local_authority
 
     Every lookup region must exist in the regions file (DanglingRegionError
-    otherwise); conflicting duplicate lookup rows are rejected.
+    otherwise); conflicting duplicate lookup rows are rejected. A blank
+    local_authority cell leaves its LSOA in no local authority.
     """
     if regions_path is None:
         regions_path = default_regions_path()
@@ -118,18 +119,20 @@ def _load_lookup(table: RegionTable, path: str | Path) -> None:
         for row_no, row in enumerate(reader, start=1):
             lsoa = row["lsoa_id"].strip()
             region = row["region"].strip()
-            la = row["local_authority"].strip()
+            la = row["local_authority"].strip() or None  # a blank cell: no local authority
             if region not in table.regions:
                 raise DanglingRegionError(
                     f"{path}: row {row_no}: region {region!r} not present in the regions table"
                 )
             prev = table.lsoa_to_region.get(lsoa)
-            if prev is not None and (prev != region or table.lsoa_to_local_authority[lsoa] != la):
+            if prev is not None and (prev != region
+                                     or table.lsoa_to_local_authority.get(lsoa) != la):
                 raise DataValidationError(
                     f"{path}: row {row_no}: conflicting mapping for LSOA {lsoa!r}"
                 )
             table.lsoa_to_region[lsoa] = region
-            table.lsoa_to_local_authority[lsoa] = la
+            if la is not None:
+                table.lsoa_to_local_authority[lsoa] = la
 
 
 def _require_columns(fieldnames, required, path) -> None:

@@ -42,6 +42,12 @@ def outcome(mag, duration):
     return FlexOutcome(magnitude_electric=mag, duration=duration)
 
 
+def envelope_of(breakpoints, total_power, unbounded_power):
+    """An Envelope from (duration_s, power_w) pairs."""
+    return Envelope([d for d, _ in breakpoints], [p for _, p in breakpoints],
+                    total_power, unbounded_power)
+
+
 def test_envelope_two_sample_example():
     outcomes = [
         (make_sample(weight=1.0), outcome(-100.0, Duration.finite(3600.0))),
@@ -237,9 +243,8 @@ def reference_envelope(run):
     durations, slot = np.unique(run.duration[finite], return_inverse=True)
     mass = np.bincount(slot, weights=power[finite], minlength=len(durations))
     running = np.cumsum(np.concatenate(([unbounded], mass[::-1])))[:0:-1]
-    breakpoints = tuple(zip(durations.tolist(), running.tolist()))
-    total = breakpoints[0][1] if breakpoints else unbounded
-    return Envelope(breakpoints=breakpoints, total_power=total, unbounded_power=unbounded)
+    total = float(running[0]) if len(running) else unbounded
+    return Envelope(durations, running, total_power=total, unbounded_power=unbounded)
 
 
 def reference_rollup(run, regions, level):
@@ -352,6 +357,35 @@ def test_export_round_trip_both_formats(tmp_path):
     assert load_report(tmp_path / "json", ExportFormat.JSON) == report
 
 
+def test_envelope_columns_are_frozen_float_arrays(tmp_path):
+    # rollup and load_report hand out envelopes whose two columns cannot be
+    # written through, and breakpoints is the pair view perfbench reads
+    table, outcomes = la_fixture()
+    report = rollup(make_run(outcomes), table, Level.LOCAL_AUTHORITY)
+    export_report(report, ExportFormat.CSV, tmp_path / "csv")
+    export_report(report, ExportFormat.JSON, tmp_path / "json")
+    for r in (report, load_report(tmp_path / "csv", ExportFormat.CSV),
+              load_report(tmp_path / "json", ExportFormat.JSON)):
+        assert r.groups["Cardiff"].envelope.breakpoints == ((600.0, 280.0), (1200.0, 80.0))
+        for g in r.groups.values():
+            env = g.envelope
+            for column in (env.durations, env.power):
+                assert column.dtype == np.float64 and column.ndim == 1
+                assert not column.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    column[:] = 0.0
+            assert env.breakpoints == tuple(zip(env.durations.tolist(), env.power.tolist()))
+
+    # equality compares every element of both columns and both powers
+    env = report.groups["Cardiff"].envelope
+    assert env == envelope_of(env.breakpoints, 280.0, 0.0)
+    assert env != envelope_of([(600.0, 280.0), (1200.0, 80.5)], 280.0, 0.0)
+    assert env != envelope_of([(600.0, 280.0), (1201.0, 80.0)], 280.0, 0.0)
+    assert env != envelope_of([(600.0, 280.0)], 280.0, 0.0)
+    assert env != envelope_of(env.breakpoints, 280.0, 1.0)
+    assert env != envelope_of(env.breakpoints, 281.0, 0.0)
+
+
 def test_excluded_power_only_on_total_row(tmp_path):
     # excluded power comes from unresolved LSOAs, which join no group: the
     # group rows leave the cell empty, and a loader meeting a filled one
@@ -413,12 +447,47 @@ def test_export_idempotent_bytes(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def json_module_report(report):
+    """report.json as json.dumps(doc, sort_keys=True, indent=2) writes it."""
+    doc = {
+        "level": report.level.value,
+        "groups": {
+            key: {
+                "installed_w": g.installed_thermal_w,
+                "magnitude_at_0_w": g.magnitude_at_zero_w,
+                "unbounded_w": g.unbounded_power_w,
+                "finite_energy_wh": g.finite_energy_wh,
+                "breakpoints": [list(bp) for bp in g.envelope.breakpoints],
+            }
+            for key, g in report.groups.items()
+        },
+        "totals": {"installed_w": report.total_installed_thermal_w,
+                   "magnitude_at_0_w": report.total_magnitude_at_zero_w,
+                   "unbounded_w": report.total_unbounded_w,
+                   "finite_energy_wh": report.total_finite_energy_wh},
+        "unresolved_lsoas": list(report.unresolved_lsoas),
+        "excluded_power_w": report.excluded_power_w,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def csv_writer_envelope(report, path):
+    """envelope.csv as a csv.writer row loop writes it."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["key", "duration_s", "power_w"])
+        for key in sorted(report.groups):
+            for d, p in report.groups[key].envelope.breakpoints:
+                writer.writerow([key, repr(d), repr(p)])
+    return path.read_bytes()
+
+
 def test_json_export_writes_what_json_module_writes(tmp_path):
     # report.json writes its breakpoint lists without the json encoder; the
     # bytes must stay those of json.dump(doc, sort_keys=True, indent=2)
     def group(breakpoints, unbounded):
         power = breakpoints[0][1] if breakpoints else unbounded
-        return GroupStats(Envelope(tuple(breakpoints), power, unbounded), 1.5, 0.1)
+        return GroupStats(envelope_of(breakpoints, power, unbounded), 1.5, 0.1)
 
     groups = {
         "z": group([(60.0, 3.0), (1e-300, 2.0), (7200.5, 1.0)], 0.5),
@@ -429,47 +498,46 @@ def test_json_export_writes_what_json_module_writes(tmp_path):
     report = AggregateReport(Level.LSOA, groups, 6.0, 7.0, 4.5, 0.4,
                              unresolved_lsoas=("E01999999",), excluded_power_w=3.25)
     export_report(report, ExportFormat.JSON, tmp_path)
-    doc = {
-        "level": "lsoa",
-        "groups": {
-            key: {
-                "installed_w": g.installed_thermal_w,
-                "magnitude_at_0_w": g.magnitude_at_zero_w,
-                "unbounded_w": g.unbounded_power_w,
-                "finite_energy_wh": g.finite_energy_wh,
-                "breakpoints": [list(bp) for bp in g.envelope.breakpoints],
-            }
-            for key, g in groups.items()
-        },
-        "totals": {"installed_w": 6.0, "magnitude_at_0_w": 7.0, "unbounded_w": 4.5,
-                   "finite_energy_wh": 0.4},
-        "unresolved_lsoas": ["E01999999"],
-        "excluded_power_w": 3.25,
-    }
-    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    assert (tmp_path / "report.json").read_text(encoding="utf-8") == expected
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == json_module_report(report)
 
 
 def test_csv_envelope_writes_what_csv_writer_writes(tmp_path):
     # envelope.csv writes its rows without csv.writer; the bytes must stay
     # those of the writerow loop kept here, whatever the key holds
     def group(breakpoints):
-        return GroupStats(Envelope(tuple(breakpoints), 1.0, 0.0), 1.5, 0.1)
+        return GroupStats(envelope_of(breakpoints, 1.0, 0.0), 1.5, 0.1)
 
     breakpoints = [(60.0, 3.0), (1e-300, 2.0), (7200.5, float("inf")), (2.0, float("nan"))]
     keys = ["E01000001", "comma, key", 'quote " key', "new\nline", "carriage\rreturn",
             " leading space", "", "\"", "tab\tkey"]
     groups = {key: group(breakpoints[:i % 4 + 1]) for i, key in enumerate(keys)}
     groups["no breakpoints"] = group([])
-    export_report(AggregateReport(Level.LSOA, groups, 6.0, 7.0, 4.5, 0.4),
-                  ExportFormat.CSV, tmp_path)
-    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["key", "duration_s", "power_w"])
-        for key in sorted(groups):
-            for d, p in groups[key].envelope.breakpoints:
-                writer.writerow([key, repr(d), repr(p)])
-    assert (tmp_path / "envelope.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    report = AggregateReport(Level.LSOA, groups, 6.0, 7.0, 4.5, 0.4)
+    export_report(report, ExportFormat.CSV, tmp_path)
+    assert (tmp_path / "envelope.csv").read_bytes() == csv_writer_envelope(
+        report, tmp_path / "reference.csv")
+
+
+def test_exports_cross_chunk_boundaries(tmp_path):
+    # the exporters turn an envelope into Python floats 65,536 breakpoints at
+    # a time; a group of 150,001 crosses two chunk boundaries and ends in a
+    # part chunk, next to a group with none
+    rng = np.random.default_rng(5)
+    durations = np.cumsum(rng.random(150_001) * 100.0 + 1e-3)
+    power = np.cumsum(rng.random(150_001))[::-1] + 0.25
+    groups = {"long": GroupStats(Envelope(durations, power, float(power[0]), 0.25), 9.5, 1.25),
+              "empty": GroupStats(Envelope([], [], 3.0, 3.0), 4.0, 0.0)}
+    report = AggregateReport(Level.LSOA, groups, 13.5, float(power[0]) + 3.0, 3.25, 1.25)
+
+    export_report(report, ExportFormat.CSV, tmp_path / "csv")
+    assert (tmp_path / "csv" / "envelope.csv").read_bytes() == csv_writer_envelope(
+        report, tmp_path / "reference.csv")
+    assert load_report(tmp_path / "csv", ExportFormat.CSV) == report
+
+    export_report(report, ExportFormat.JSON, tmp_path / "json")
+    assert (tmp_path / "json" / "report.json").read_text(encoding="utf-8") == \
+        json_module_report(report)
+    assert load_report(tmp_path / "json", ExportFormat.JSON) == report
 
 
 def test_export_empty_report(tmp_path):
@@ -491,6 +559,23 @@ def test_plot_grid_export(tmp_path):
     assert len(lines) == 5  # t = 0, 60, 120, 180
     assert lines[1].endswith("100.0")
     assert lines[3].endswith("0.0")
+
+
+@pytest.mark.parametrize("grid_s, cap_s", [(7.5, 400.0), (0.1, 31.0), (60.0, 59.0)])
+def test_plot_grid_equals_power_at_per_point(tmp_path, grid_s, cap_s):
+    # one lookup over the whole grid writes what a power_at call per point
+    # writes, with grid points on, between and beyond the breakpoints; t = 0
+    # reads total_power, set apart from the first step here
+    env = envelope_of([(30.0, 10.0), (150.0, 6.0), (300.0, 2.5)], 12.0, 1.0)
+    path = export_plot_grid(env, tmp_path / "grid.csv", grid_s=grid_s, cap_s=cap_s)
+    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["duration_s", "power_w"])
+        t = 0.0
+        while t <= cap_s:
+            writer.writerow([repr(t), repr(env.power_at(t))])
+            t += grid_s
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

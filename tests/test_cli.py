@@ -1,5 +1,6 @@
 """Command line flows and exit-code contract."""
 
+import csv
 import dataclasses
 import hashlib
 import importlib.util
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from heatflex import cli, default_regions_path, load_stock
+from heatflex import default_regions_path, load_stock
 from heatflex.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 SCENARIO_FIXED = """\
@@ -191,25 +192,25 @@ seed = 11
 """
 
 
-def _drop_local_authority(monkeypatch, lsoa_id):
-    """Make the CLI's lookup leave lsoa_id without a local authority. A lookup
-    file cannot: each of its rows names both, and derive refuses an LSOA with
-    no region."""
-    load = cli.load_region_table
+def _blank_local_authority(lookup_path, lsoa_id):
+    """Blank the local_authority cell of lsoa_id's row in a lookup file, which
+    leaves that LSOA in its region but in no local authority."""
+    with open(lookup_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index("local_authority")
+    for row in rows[1:]:
+        if row[0] == lsoa_id:
+            row[column] = ""
+    with open(lookup_path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
-    def load_without(*args):
-        table = load(*args)
-        del table.lsoa_to_local_authority[lsoa_id]
-        return table
 
-    monkeypatch.setattr(cli, "load_region_table", load_without)
-
-
-def _export_digests(runner, monkeypatch) -> dict[str, dict[str, str]]:
+def _export_digests(runner) -> dict[str, dict[str, str]]:
     """Run each benchmark command line on a 2,000-dwelling synth stock in the
     working directory, then an LA-level flex with failed samples and an
-    unresolved LSOA on a 6,000-dwelling one; return the SHA-256 of every
-    exported file, by run and path."""
+    unresolved LSOA (its lookup row has a blank local authority) on a
+    6,000-dwelling one; return the SHA-256 of every exported file, by run and
+    path."""
     def digests_of(argv):
         assert main(argv) == EXIT_OK, argv
         found = {
@@ -229,7 +230,7 @@ def _export_digests(runner, monkeypatch) -> dict[str, dict[str, str]]:
     assert main(["synth", "--dwellings", "6000", "--seed", "3", "--out", "mixed.csv",
                  "--lookup-out", "mixed_lookup.csv"]) == EXIT_OK
     Path("hot.ini").write_text(SCENARIO_HOT_TAIL, encoding="utf-8")
-    _drop_local_authority(monkeypatch, load_stock("mixed.csv").lsoa_ids[0])
+    _blank_local_authority("mixed_lookup.csv", load_stock("mixed.csv").lsoa_ids[0])
     digests["flex_la_failed_unresolved"] = digests_of([
         "flex", "--stock", "mixed.csv", "--lookup", "mixed_lookup.csv", "--scenario",
         "hot.ini", "--direction", "pos", "--level", "la", "--expansion", "2", "--out", "out"])
@@ -323,7 +324,7 @@ def test_benchmark_argv_contract(tmp_path, monkeypatch):
     # samples and an unresolved LSOA
     runner = _load_benchmark_runner()
     monkeypatch.chdir(tmp_path)
-    assert _export_digests(runner, monkeypatch) == GOLDEN_EXPORTS
+    assert _export_digests(runner) == GOLDEN_EXPORTS
 
 
 def test_tracer_runs_every_workload(tmp_path, monkeypatch):

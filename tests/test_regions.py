@@ -74,16 +74,34 @@ def test_unresolved_lsoas_listed(default_regions):
     assert "E01xxxxxx" in str(excinfo.value)
 
 
-def test_conflicting_lookup_rows_rejected(tmp_path):
+@pytest.mark.parametrize("rows", [
+    "E01000001,Wales,Cardiff\nE01000001,London,Camden\n",
+    # a blank local authority is none, which conflicts with a named one
+    "E01000001,Wales,\nE01000001,Wales,Cardiff\n",
+    "E01000001,Wales,Cardiff\nE01000001,Wales, \n",
+])
+def test_conflicting_lookup_rows_rejected(tmp_path, rows):
+    lookup = tmp_path / "lookup.csv"
+    lookup.write_text("lsoa_id,region,local_authority\n" + rows, encoding="utf-8")
+    with pytest.raises(DataValidationError, match="conflicting"):
+        load_region_table(lsoa_lookup_path=lookup)
+
+
+def test_blank_local_authority_is_none(tmp_path):
+    # a blank cell leaves the LSOA in its region but in no local authority,
+    # rather than in one whose name is empty; a repeat of the row agrees
     lookup = tmp_path / "lookup.csv"
     lookup.write_text(
         "lsoa_id,region,local_authority\n"
-        "E01000001,Wales,Cardiff\n"
-        "E01000001,London,Camden\n",
+        "E01000001,Wales,\n"
+        "E01000002,Wales,Cardiff\n"
+        "E01000001,Wales,  \n",
         encoding="utf-8",
     )
-    with pytest.raises(DataValidationError, match="conflicting"):
-        load_region_table(lsoa_lookup_path=lookup)
+    table = load_region_table(lsoa_lookup_path=lookup)
+    assert table.region_of("E01000001") == "Wales"
+    assert table.local_authority_of("E01000001") is None
+    assert table.lsoa_to_local_authority == {"E01000002": "Cardiff"}
 
 
 def test_regions_file_validation(tmp_path):
