@@ -91,8 +91,8 @@ def _ordered_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
-def _power(run: ScenarioRun) -> np.ndarray:
-    return run.samples.weight * np.abs(run.magnitude)
+def _power(run: ScenarioRun, rows: np.ndarray) -> np.ndarray:  # weights gathered per row
+    return run.samples.weight[run.samples.record[rows]] * np.abs(run.magnitude[rows])
 
 
 def _sums(code: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -106,12 +106,13 @@ def _fold(run: ScenarioRun, group: np.ndarray, n: int) -> tuple[list[Envelope], 
     group holds each row's group, or -1 for a row in none."""
     if (run.magnitude > 0).any() and (run.magnitude < 0).any():
         raise ValueError("outcomes mix demand-increase and demand-reduction services")
-    power = _power(run)
     member = group >= 0
     unbounded = member & (run.kind == UNBOUNDED)
-    floors = _sums(group[unbounded], power[unbounded], n)
+    floors = _sums(group[unbounded], _power(run, unbounded), n)
     finite = member & (run.kind == FINITE)
-    code, duration, power = group[finite], run.duration[finite], power[finite]
+    del unbounded, member
+    code, duration, power = group[finite], run.duration[finite], _power(run, finite)
+    del finite
     energy = _sums(code, power * duration / 3600.0, n)
 
     # by group, then duration; numpy sorts 8- and 16-bit codes stably by radix
@@ -148,7 +149,7 @@ def _fold(run: ScenarioRun, group: np.ndarray, n: int) -> tuple[list[Envelope], 
 
 def build_envelope(run: ScenarioRun) -> Envelope:
     """Exact step envelope of one direction's outcomes."""
-    (envelope,), _ = _fold(run, np.zeros(len(run), dtype=np.intp), 1)
+    (envelope,), _ = _fold(run, np.zeros(len(run), dtype=np.int32), 1)
     return envelope
 
 
@@ -167,7 +168,7 @@ class FiniteEnergy:
 
 def finite_energy(run: ScenarioRun) -> FiniteEnergy:
     """Sum of weight * |magnitude| * duration over finite samples, in Wh."""
-    (envelope,), (energy,) = _fold(run, np.zeros(len(run), dtype=np.intp), 1)
+    (envelope,), (energy,) = _fold(run, np.zeros(len(run), dtype=np.int32), 1)
     return FiniteEnergy(
         energy_wh=float(energy),
         unbounded_count=int(np.count_nonzero(run.kind == UNBOUNDED)),
@@ -183,7 +184,7 @@ def capped_energy(run: ScenarioRun, cap_s: float = DISPLAY_CAP_S) -> float:
     """
     counted = (run.kind == FINITE) | (run.kind == UNBOUNDED)
     capped = np.minimum(run.duration[counted], cap_s)  # unbounded: inf -> cap_s
-    return _ordered_sum(_power(run)[counted] * capped / 3600.0)
+    return _ordered_sum(_power(run, counted) * capped / 3600.0)
 
 
 @dataclass(frozen=True)
@@ -229,21 +230,23 @@ def rollup(run: ScenarioRun, regions: RegionTable, level: Level) -> AggregateRep
     Failed samples belong to no group. Samples whose LSOA cannot be resolved
     at the requested level are listed and their power reported as excluded;
     the run continues without them. The group key is looked up once per
-    distinct LSOA; every group is then folded in one pass over the run.
+    distinct LSOA and mapped to groups once per record; every group is then
+    folded in one pass over the run.
     """
     samples, kept = run.samples, run.kind != FAILED
+    used = np.bincount(samples.record[kept], minlength=len(samples.lsoa_code)) > 0
     key_of = {code: _lsoa_group_key(samples.lsoa_ids[code], regions, level)
-              for code in np.unique(samples.lsoa_code[kept]).tolist()}
+              for code in np.unique(samples.lsoa_code[used]).tolist()}
     keys = sorted({key for key in key_of.values() if key is not None})
     index = {key: g for g, key in enumerate(keys)}  # an LSOA with no key maps to -1
     group_of_lsoa = np.array([index.get(key_of.get(code), -1)
-                              for code in range(len(samples.lsoa_ids))], dtype=np.intp)
-    group = np.where(kept, group_of_lsoa[samples.lsoa_code], -1)
+                              for code in range(len(samples.lsoa_ids))], dtype=np.int32)
+    group = np.where(kept, group_of_lsoa[samples.lsoa_code][samples.record], np.int32(-1))
 
     envelopes, energy = _fold(run, group, len(keys))
     member = group >= 0
-    installed = _sums(group[member], (samples.weight * (samples.hp_size * 1000.0))[member],
-                      len(keys))
+    installed_of_record = samples.weight * (samples.hp_size * 1000.0)
+    installed = _sums(group[member], installed_of_record[samples.record[member]], len(keys))
     groups = {key: GroupStats(envelope, w, wh)  # installed W, finite energy Wh
               for key, envelope, w, wh in zip(keys, envelopes, installed.tolist(), energy.tolist())}
     return AggregateReport(
@@ -255,7 +258,7 @@ def rollup(run: ScenarioRun, regions: RegionTable, level: Level) -> AggregateRep
         total_finite_energy_wh=_ordered_sum(energy),
         unresolved_lsoas=tuple(sorted(samples.lsoa_ids[code]
                                       for code, key in key_of.items() if key is None)),
-        excluded_power_w=_ordered_sum(_power(run)[kept & (group < 0)]),
+        excluded_power_w=_ordered_sum(_power(run, kept & (group < 0))),
     )
 
 
@@ -459,8 +462,10 @@ def export_plot_grid(
     Lossy by construction (fixed grid, durations capped at cap_s); the
     exact step representation lives in the report exports.
     """
-    if grid_s <= 0:
-        raise HeatflexError(f"grid step must be > 0, got {grid_s}")
+    if not 0 < grid_s < np.inf:  # nan fails too
+        raise HeatflexError(f"grid step must be finite and > 0, got {grid_s}")
+    if not 0 <= cap_s < np.inf:
+        raise HeatflexError(f"display cap must be finite and >= 0, got {cap_s}")
     grid, t = [], 0.0
     while t <= cap_s:
         grid.append(t)

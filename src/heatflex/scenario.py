@@ -10,22 +10,23 @@ derives parameters only when a scenario changes them and draws indoor
 temperatures only when it changes the indoor model.
 
 Stock, parameters, samples and outcomes are all columns, one numpy array
-per field: `build_samples` slices a `ThermalTable` and the live rows of the
-stock it holds into a `SampleTable`, and `run_scenario` evaluates the whole
-table with masked array expressions into a `ScenarioRun`. The kernel does
-the float operations of `rc.evaluate` in the same order, so every row
-equals what the scalar functions in `rc`, kept as the reference, return
-for it.
+per field. `build_samples` keeps the live rows of a `ThermalTable` and its
+stock once, as the record columns of a `SampleTable`, and gives a sample
+only its record's index and its indoor temperature; `run_scenario`
+evaluates the table in row blocks with masked array expressions into a
+`ScenarioRun`, so no temporary grows with the table. The kernel does the
+float operations of `rc.evaluate` in the same order, so every row equals
+what the scalar functions in `rc`, kept as the reference, return for it.
 
 Randomness is reproducible and order-independent: each stock record owns a
 counter-based Philox stream keyed by a stable hash of its (LSOA, category)
 identity combined with the scenario seed, so reordering records, changing
 the uptake fraction or sweeping capacity levels never perturbs the
 temperatures any record receives. Record i's stream is numpy's
-Generator(Philox(SeedSequence([seed, key_i]))), but all records are drawn
-in one array pass: `_philox_keys` ports SeedSequence's key mixing (after
-O'Neill's seed_seq_fe) and `_philox_uniforms` runs Philox4x64-10 (Salmon
-et al., SC'11) on a (records, blocks) counter array, bit for bit. The
+Generator(Philox(SeedSequence([seed, key_i]))), but a block of records is
+drawn in array passes: `_philox_keys` ports SeedSequence's key mixing (after
+O'Neill's seed_seq_fe) and `_philox_uniforms` runs Philox4x64-10 (Salmon et
+al., SC'11) on a (records, blocks) counter array, bit for bit. The
 quantile function is `normal.ndtri`, a port of Moshier's Cephes `ndtri`
 (with its `ndtr`) that returns what scipy.special does, bit for bit.
 """
@@ -49,6 +50,7 @@ from .stock import CATEGORIES, DwellingRecord, StockTable, as_stock_table
 from .thermal import CapacityLevel, StockVariant, ThermalTable, derive_all
 
 DEFAULT_EXPANSION = 10  # sub-samples per record under a stochastic indoor model
+_BLOCK = 16384  # rows evaluated, or values drawn, at a time; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -223,8 +225,12 @@ def _draw_indoor_temps(
     model: TruncatedNormalIndoor, stream_keys: np.ndarray, n: int
 ) -> np.ndarray:
     """Row i holds n draws from the stream of (model.seed, stream_keys[i])."""
-    keys = _philox_keys(model.seed, stream_keys)
-    return _truncated_normal(model, _philox_uniforms(keys, n))
+    out = np.empty((len(stream_keys), n))
+    step = max(1, _BLOCK // max(n, 1))  # rows per block of about _BLOCK draws
+    for a in range(0, len(stream_keys), step):
+        keys = _philox_keys(model.seed, stream_keys[a:a + step])
+        out[a:a + step] = _truncated_normal(model, _philox_uniforms(keys, n))
+    return out
 
 
 def sample_indoor_temps(
@@ -238,10 +244,10 @@ def sample_indoor_temps(
     """
     if n < 0:
         raise ConfigError(f"sample count must be >= 0, got {n}")
-    if isinstance(model, FixedIndoor):
-        return np.full(n, model.temp, dtype=float)
     if not 0 <= stream_key < 2**64:
         raise ConfigError(f"stream key must be within [0, 2**64), got {stream_key}")
+    if isinstance(model, FixedIndoor):
+        return np.full(n, model.temp, dtype=float)
     return _draw_indoor_temps(model, np.array([stream_key], dtype=np.uint64), n)[0]
 
 
@@ -271,32 +277,32 @@ class ScenarioSpec:
             )
 
 
-_SAMPLE_COLUMNS = ("lsoa_code", "weight", "indoor_temp", "heat_loss", "capacitance", "hp_size")
-
-
 @dataclass(frozen=True, eq=False)
 class SampleTable:
-    """Evaluation samples as parallel columns, one row per sample.
+    """Evaluation samples: record columns held once, and two columns per sample.
 
-    A sample is a (possibly fractional) bundle of identical dwellings.
-    lsoa_code indexes lsoa_ids, which build_samples takes from the stock
-    whole; the thermal parameters keep the units of ThermalParams.
+    A sample is a (possibly fractional) bundle of identical dwellings of one
+    stock record. lsoa_code, weight and the thermal parameters (in the units
+    of ThermalParams) have one entry per live record; a sample holds the
+    index of its record and its own indoor temperature. lsoa_code indexes
+    lsoa_ids, which build_samples takes from the stock whole.
     """
 
     lsoa_ids: tuple[str, ...]
     lsoa_code: np.ndarray  # int, index into lsoa_ids
-    weight: np.ndarray  # dwellings represented: count * uptake (/ expansion)
-    indoor_temp: np.ndarray  # C
+    weight: np.ndarray  # dwellings a sample represents: count * uptake (/ expansion)
     heat_loss: np.ndarray  # kW/C
     capacitance: np.ndarray  # kJ/K
     hp_size: np.ndarray  # kW thermal
+    record: np.ndarray  # int32 per sample, index into the record columns
+    indoor_temp: np.ndarray  # C per sample
 
     def __len__(self) -> int:
-        return len(self.weight)
+        return len(self.record)
 
     def __getitem__(self, rows) -> "SampleTable":
-        """The rows a slice, index array or mask selects; lsoa_ids is kept whole."""
-        return SampleTable(self.lsoa_ids, *(getattr(self, c)[rows] for c in _SAMPLE_COLUMNS))
+        """The samples a slice, index array or mask selects; the record columns are shared."""
+        return replace(self, record=self.record[rows], indoor_temp=self.indoor_temp[rows])
 
 
 def build_samples(
@@ -317,8 +323,8 @@ def build_samples(
     if expansion < 1:
         raise ConfigError(f"expansion factor must be >= 1, got {expansion}")
     stock, rows = params.stock, params.rows
-    columns = [stock.lsoa_code[rows], stock.count[rows].astype(float) * spec.uptake_fraction,
-               params.heat_loss, params.capacitance, params.hp_size]
+    weight = stock.count[rows].astype(float) * spec.uptake_fraction
+    record = np.arange(len(rows), dtype=np.int32)
     model = spec.indoor_model
     if isinstance(model, FixedIndoor):
         if indoor is None:
@@ -329,10 +335,10 @@ def build_samples(
             keys = np.array([_stream_key(f"{lsoa_id}|{idents[k]}")
                              for lsoa_id, k in stock.keys(rows)], dtype=np.uint64)
             indoor = _draw_indoor_temps(model, keys, expansion).ravel()
-        columns[1] = columns[1] / expansion
-        columns = [np.repeat(c, expansion) for c in columns]
-    code, weight, heat_loss, capacitance, hp_size = columns
-    return SampleTable(stock.lsoa_ids, code, weight, indoor, heat_loss, capacitance, hp_size)
+        weight /= expansion
+        record = np.repeat(record, expansion)
+    return SampleTable(stock.lsoa_ids, stock.lsoa_code[rows], weight, params.heat_loss,
+                       params.capacitance, params.hp_size, record, indoor)
 
 
 ZERO, FINITE, UNBOUNDED, FAILED = range(4)  # codes of ScenarioRun.kind
@@ -384,47 +390,50 @@ def run_scenario(
     concatenating gives the same run.
     """
     band, outdoor = spec.comfort_band, spec.outdoor_temp
-    indoor = samples.indoor_temp
-    with np.errstate(all="ignore"):  # failed rows may hold nan or inf
-        # RcDwelling.from_params: kW/C -> C/W, kJ/K -> J/K, kW -> W
-        r = 1.0 / (samples.heat_loss * 1000.0)
-        c = samples.capacitance * 1000.0
-        p_max = samples.hp_size * 1000.0
-        failed = (r <= 0) | (c <= 0) | (p_max <= 0)
-        failed |= ~((INDOOR_TEMP_MIN <= indoor) & (indoor <= INDOOR_TEMP_MAX))
-        if direction is Direction.POSITIVE:
-            limit = band.high
-            t_ss = outdoor + p_max * r
-            zero, unbounded = indoor >= limit, t_ss <= limit
-        else:
-            limit = band.low
-            t_ss = outdoor + 0.0 * r
-            zero, unbounded = indoor <= limit, t_ss >= limit
-        kind = np.where(zero, ZERO, np.where(unbounded, UNBOUNDED, FINITE)).astype(np.int8)
-        kind[failed] = FAILED
-        finite = kind == FINITE
-
-        duration = np.where(kind == UNBOUNDED, np.inf, 0.0)
-        duration[failed] = np.nan
-        excess = (indoor[finite] - limit) / (limit - t_ss[finite])
-        logs = np.fromiter(map(math.log1p, excess.tolist()), float, len(excess))
-        duration[finite] = (r[finite] * c[finite]) * logs
-
-        iq = np.minimum(np.maximum((indoor - outdoor) / r, 0.0), p_max)  # clamped output
-        cop = cop_at(spec.cop_curve, outdoor)
-        magnitude = (p_max - iq) / cop if direction is Direction.POSITIVE else -iq / cop
-        magnitude[(kind == ZERO) | failed] = 0.0
+    limit = band.high if direction is Direction.POSITIVE else band.low
+    cop = cop_at(spec.cop_curve, outdoor)
+    magnitude, duration = np.empty(len(samples)), np.empty(len(samples))
+    kind = np.empty(len(samples), dtype=np.int8)
+    for start in range(0, len(samples), _BLOCK):  # the temporaries stay block-sized
+        rows = slice(start, start + _BLOCK)
+        rec, indoor = samples.record[rows], samples.indoor_temp[rows]
+        m, d, k = magnitude[rows], duration[rows], kind[rows]  # views, written in place
+        with np.errstate(all="ignore"):  # failed rows may hold nan or inf
+            # RcDwelling.from_params: kW/C -> C/W, kJ/K -> J/K, kW -> W
+            r = 1.0 / (samples.heat_loss[rec] * 1000.0)
+            c = samples.capacitance[rec] * 1000.0
+            p_max = samples.hp_size[rec] * 1000.0
+            failed = (r <= 0) | (c <= 0) | (p_max <= 0)
+            failed |= ~((INDOOR_TEMP_MIN <= indoor) & (indoor <= INDOOR_TEMP_MAX))
+            if direction is Direction.POSITIVE:
+                t_ss = outdoor + p_max * r
+                zero, unbounded = indoor >= limit, t_ss <= limit
+            else:
+                t_ss = outdoor + 0.0 * r
+                zero, unbounded = indoor <= limit, t_ss >= limit
+            k[:] = np.where(zero, ZERO, np.where(unbounded, UNBOUNDED, FINITE))
+            k[failed] = FAILED
+            finite = k == FINITE
+            d[:] = np.where(k == UNBOUNDED, np.inf, 0.0)
+            d[failed] = np.nan
+            excess = (indoor[finite] - limit) / (limit - t_ss[finite])
+            logs = np.fromiter(map(math.log1p, excess.tolist()), float, len(excess))
+            d[finite] = (r[finite] * c[finite]) * logs
+            iq = np.minimum(np.maximum((indoor - outdoor) / r, 0.0), p_max)  # clamped output
+            m[:] = (p_max - iq) / cop if direction is Direction.POSITIVE else -iq / cop
+            m[(k == ZERO) | failed] = 0.0
 
     return ScenarioRun(samples, spec, direction, magnitude, duration, kind)
 
 
 def _failure(samples: SampleTable, i: int, spec: ScenarioSpec, direction: Direction) -> str:
     """rc's message for a row the kernel marked failed."""
+    rec = samples.record[i]
     try:
         dwelling = RcDwelling(
-            resistance=1.0 / (float(samples.heat_loss[i]) * 1000.0),
-            capacitance=float(samples.capacitance[i]) * 1000.0,
-            hp_max_thermal=float(samples.hp_size[i]) * 1000.0,
+            resistance=1.0 / (float(samples.heat_loss[rec]) * 1000.0),
+            capacitance=float(samples.capacitance[rec]) * 1000.0,
+            hp_max_thermal=float(samples.hp_size[rec]) * 1000.0,
         )
         evaluate(dwelling, float(samples.indoor_temp[i]), spec.outdoor_temp,
                  spec.cop_curve, spec.comfort_band, direction)

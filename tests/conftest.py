@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +75,13 @@ class Sample(NamedTuple):
 
 
 _FLOAT_COLUMNS = ("weight", "indoor_temp", "heat_loss", "capacitance", "hp_size")
+_RECORD_COLUMNS = ("lsoa_code", "weight", "heat_loss", "capacitance", "hp_size")
+
+
+def column(table: SampleTable, name: str) -> np.ndarray:
+    """One value per sample of any column: a record column is gathered through record."""
+    values = getattr(table, name)
+    return values if name == "indoor_temp" else values[table.record]
 
 
 def make_sample(
@@ -88,19 +96,22 @@ def make_sample(
 
 
 def make_table(samples: list[Sample]) -> SampleTable:
+    """A table with one record per sample."""
     lsoa_ids = tuple(dict.fromkeys(s.lsoa_id for s in samples))
     code = {lsoa: i for i, lsoa in enumerate(lsoa_ids)}
     return SampleTable(
         lsoa_ids,
         np.array([code[s.lsoa_id] for s in samples], dtype=np.intp),
-        *(np.array([getattr(s, c) for s in samples], dtype=float) for c in _FLOAT_COLUMNS),
+        *(np.array([getattr(s, c) for s in samples], dtype=float) for c in _RECORD_COLUMNS[1:]),
+        record=np.arange(len(samples), dtype=np.int32),
+        indoor_temp=np.array([s.indoor_temp for s in samples], dtype=float),
     )
 
 
 def samples_of(table: SampleTable) -> list[Sample]:
-    columns = [getattr(table, c).tolist() for c in _FLOAT_COLUMNS]
+    columns = [column(table, c).tolist() for c in _FLOAT_COLUMNS]
     return [Sample(table.lsoa_ids[code], *row)
-            for code, *row in zip(table.lsoa_code.tolist(), *columns)]
+            for code, *row in zip(column(table, "lsoa_code").tolist(), *columns)]
 
 
 _KIND_CODES = {DurationKind.ZERO: ZERO, DurationKind.FINITE: FINITE,
@@ -139,11 +150,12 @@ def pairs_of(run: ScenarioRun) -> list[tuple[Sample, FlexOutcome]]:
 def concat_runs(head: ScenarioRun, tail: ScenarioRun) -> ScenarioRun:
     """Two runs of one scenario over slices of one sample table, joined back in order."""
     assert head.samples.lsoa_ids == tail.samples.lsoa_ids
+    assert all(getattr(head.samples, c) is getattr(tail.samples, c) for c in _RECORD_COLUMNS)
     assert (head.spec, head.direction) == (tail.spec, tail.direction)
     return ScenarioRun(
-        samples=SampleTable(head.samples.lsoa_ids, *(
-            np.concatenate([getattr(head.samples, c), getattr(tail.samples, c)])
-            for c in ("lsoa_code", *_FLOAT_COLUMNS))),
+        samples=replace(head.samples, **{
+            c: np.concatenate([getattr(head.samples, c), getattr(tail.samples, c)])
+            for c in ("record", "indoor_temp")}),
         spec=head.spec,
         direction=head.direction,
         magnitude=np.concatenate([head.magnitude, tail.magnitude]),
@@ -153,8 +165,9 @@ def concat_runs(head: ScenarioRun, tail: ScenarioRun) -> ScenarioRun:
 
 
 def runs_equal(a: ScenarioRun, b: ScenarioRun) -> bool:
-    """Same samples, equal outcome columns (nan equal to nan), same errors."""
-    columns = [(getattr(a.samples, c), getattr(b.samples, c))
+    """Same samples (each sample's LSOA, weight, parameters and indoor
+    temperature), equal outcome columns (nan equal to nan), same errors."""
+    columns = [(column(a.samples, c), column(b.samples, c))
                for c in ("lsoa_code", *_FLOAT_COLUMNS)]
     columns += [(a.magnitude, b.magnitude), (a.duration, b.duration), (a.kind, b.kind)]
     return (

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from heatflex import (
     FixedIndoor,
     FlexOutcome,
     GroupStats,
+    HeatflexError,
     Level,
     SampleTable,
     ScenarioRun,
@@ -34,7 +36,7 @@ from heatflex import (
     run_stock_scenario,
 )
 
-from conftest import make_region_table, make_run, make_sample
+from conftest import column, make_region_table, make_run, make_sample
 from heatflex.scenario import FAILED, FINITE, UNBOUNDED, ZERO
 
 
@@ -237,7 +239,7 @@ def _reference_sum(values):
 def reference_envelope(run):
     """The per-group envelope the one-pass fold replaced: np.unique, np.bincount
     and a reverse np.cumsum seeded with the unbounded power."""
-    power = run.samples.weight * np.abs(run.magnitude)
+    power = column(run.samples, "weight") * np.abs(run.magnitude)
     unbounded = _reference_sum(power[run.kind == UNBOUNDED])
     finite = run.kind == FINITE
     durations, slot = np.unique(run.duration[finite], return_inverse=True)
@@ -255,9 +257,9 @@ def reference_rollup(run, regions, level):
                 Level.REGION: regions.region_of(lsoa_id),
                 Level.LOCAL_AUTHORITY: regions.local_authority_of(lsoa_id)}[level]
 
-    power = run.samples.weight * np.abs(run.magnitude)
+    power = column(run.samples, "weight") * np.abs(run.magnitude)
     rows_of, unresolved, excluded = {}, set(), []
-    for i, code in enumerate(run.samples.lsoa_code.tolist()):
+    for i, code in enumerate(column(run.samples, "lsoa_code").tolist()):
         if run.kind[i] == FAILED:
             continue
         lsoa_id = run.samples.lsoa_ids[code]
@@ -273,9 +275,10 @@ def reference_rollup(run, regions, level):
     for key in sorted(rows_of):
         part = run[np.array(rows_of[key])]
         envelope = reference_envelope(part)
-        part_power = part.samples.weight * np.abs(part.magnitude)
+        part_power = column(part.samples, "weight") * np.abs(part.magnitude)
         finite = part.kind == FINITE
-        installed = _reference_sum(part.samples.weight * (part.samples.hp_size * 1000.0))
+        installed = _reference_sum(column(part.samples, "weight")
+                                   * (column(part.samples, "hp_size") * 1000.0))
         energy = _reference_sum(part_power[finite] * part.duration[finite] / 3600.0)
         groups[key] = GroupStats(envelope=envelope, installed_thermal_w=installed,
                                  finite_energy_wh=energy)
@@ -300,10 +303,10 @@ ORACLE_LSOAS = (*ORACLE_LOOKUP, "E01099999")
 
 @st.composite
 def oracle_runs(draw):
-    """Up to 400 rows of every kind over the oracle LSOAs, all in one
-    direction; most finite durations come from a short list, so durations
-    repeat within and across groups."""
-    n = draw(st.integers(0, 400))
+    """Up to 400 rows of every kind over up to 60 records in the oracle LSOAs,
+    all in one direction; most finite durations come from a short list, so
+    durations repeat within and across groups."""
+    n, records = draw(st.integers(0, 400)), draw(st.integers(1, 60))
     sign = draw(st.sampled_from([1.0, -1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = rng.choice(np.array([ZERO, FINITE, FINITE, UNBOUNDED, FAILED], dtype=np.int8), n)
@@ -314,9 +317,11 @@ def oracle_runs(draw):
     duration[kind == UNBOUNDED] = np.inf
     duration[kind == ZERO] = 0.0
     duration[kind == FAILED] = np.nan
-    samples = SampleTable(ORACLE_LSOAS, rng.integers(0, len(ORACLE_LSOAS), n),
-                          rng.uniform(0.01, 10.0, n), np.full(n, 19.0), np.full(n, 0.2),
-                          np.full(n, 25000.0), rng.uniform(0.5, 20.0, n))
+    samples = SampleTable(ORACLE_LSOAS, rng.integers(0, len(ORACLE_LSOAS), records),
+                          rng.uniform(0.01, 10.0, records), np.full(records, 0.2),
+                          np.full(records, 25000.0), rng.uniform(0.5, 20.0, records),
+                          record=rng.integers(0, records, n, dtype=np.int32),
+                          indoor_temp=np.full(n, 19.0))
     return ScenarioRun(samples=samples,
                        spec=ScenarioSpec(outdoor_temp=0.0, indoor_model=FixedIndoor()),
                        direction=Direction.POSITIVE if sign > 0 else Direction.NEGATIVE,
@@ -332,7 +337,7 @@ def test_rollup_equals_the_per_group_loop(run):
         assert rollup(run, regions, level) == reference_rollup(run, regions, level), level
     whole = reference_envelope(run)
     assert build_envelope(run) == whole
-    power = run.samples.weight * np.abs(run.magnitude)
+    power = column(run.samples, "weight") * np.abs(run.magnitude)
     finite = run.kind == FINITE
     assert finite_energy(run) == FiniteEnergy(
         energy_wh=_reference_sum(power[finite] * run.duration[finite] / 3600.0),
@@ -576,6 +581,17 @@ def test_plot_grid_equals_power_at_per_point(tmp_path, grid_s, cap_s):
             writer.writerow([repr(t), repr(env.power_at(t))])
             t += grid_s
     assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("grid_s, cap_s", [(math.nan, 180.0), (math.inf, 180.0),
+                                           (60.0, math.nan), (60.0, -1.0)])
+def test_plot_grid_refuses_bad_grids(tmp_path, grid_s, cap_s):
+    # a non-finite step would write a one-point grid, and a nan or negative
+    # cap a bare header
+    env = envelope_of([(30.0, 10.0)], 12.0, 1.0)
+    with pytest.raises(HeatflexError):
+        export_plot_grid(env, tmp_path / "grid.csv", grid_s=grid_s, cap_s=cap_s)
+    assert not (tmp_path / "grid.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from heatflex import (
     FixedIndoor,
     Level,
     RcDwelling,
+    SampleTable,
     ScenarioSpec,
     StockVariant,
     TruncatedNormalIndoor,
@@ -39,6 +40,7 @@ from heatflex.scenario import FAILED
 
 from conftest import (
     GAS_FLAT,
+    column,
     concat_runs,
     make_record,
     make_region_table,
@@ -103,6 +105,15 @@ def test_truncated_normal_validation():
     for key in (-1, 2**64):
         with pytest.raises(ConfigError, match="stream key"):
             sample_indoor_temps(TruncatedNormalIndoor(), 4, stream_key=key)
+
+
+@pytest.mark.parametrize("model", [FixedIndoor(19.0), TruncatedNormalIndoor()])
+@pytest.mark.parametrize("key", [-5, -1, 2**64])
+def test_stream_key_range_checked_for_every_model(model, key):
+    # the key is checked before the model is looked at, so a fixed model
+    # refuses the keys the truncated normal refuses
+    with pytest.raises(ConfigError, match="stream key"):
+        sample_indoor_temps(model, 4, stream_key=key)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -259,6 +270,42 @@ def test_build_samples_stochastic_expansion():
     assert all(14.0 <= s.indoor_temp <= 24.0 for s in samples_of(samples))
 
 
+def test_draws_cross_record_blocks():
+    # more records than one draw block holds: each record still gets the
+    # draws of its own stream, whichever block it falls in
+    from heatflex.synth import generate_stock
+
+    records, lookup = generate_stock(20000, seed=3, lsoa_count=300)
+    table = make_region_table({l: (r, la) for l, r, la in lookup})
+    model, expansion = TruncatedNormalIndoor(seed=12), 10
+    params = derive_all(records, table)
+    assert len(params.rows) > 1.5 * (scenario._BLOCK // expansion)
+    samples = build_samples(params, spec_at(5.0, indoor_model=model), expansion)
+    want = np.concatenate([
+        sample_indoor_temps(model, expansion, record_stream_key(r.lsoa_id, r.category))
+        for r in records if not r.skippable
+    ])
+    assert np.array_equal(samples.indoor_temp, want)
+
+
+def test_sample_table_holds_record_columns_once(small_stock):
+    # the layout: one entry per live record for each record column, and
+    # only a 4-byte record index and an 8-byte temperature per sample
+    records, table = small_stock
+    params = derive_all(records, table)
+    spec = spec_at(5.0, indoor_model=TruncatedNormalIndoor(seed=2))
+    samples = build_samples(params, spec, expansion=10)
+    record_columns = ("lsoa_code", "weight", "heat_loss", "capacitance", "hp_size")
+    assert len(samples) == 10 * len(params.rows) > 0
+    assert all(len(getattr(samples, c)) == len(params.rows) for c in record_columns)
+    assert samples.record.dtype == np.int32
+    columns = [getattr(samples, f.name) for f in fields(samples)]
+    per_sample = [c for c in columns if isinstance(c, np.ndarray) and len(c) == len(samples)]
+    assert sum(c.nbytes for c in per_sample) == 12 * len(samples)
+    half = samples[::2]  # a selection shares the record columns
+    assert all(np.shares_memory(getattr(half, c), getattr(samples, c)) for c in record_columns)
+
+
 def test_build_samples_empty_and_missing_params():
     record, table, _ = one_record_setup()
     assert len(build_samples(derive_all([], table), spec_at(5.0))) == 0
@@ -282,7 +329,7 @@ def test_build_samples_index_the_stock_lsoa_ids():
         samples = build_samples(params, spec_at(5.0, indoor_model=model), expansion=3)
         assert samples.lsoa_ids is params.stock.lsoa_ids == (c, a, b)
         per_row = len(samples) // 2
-        assert samples.lsoa_code.tolist() == [1] * per_row + [0] * per_row
+        assert column(samples, "lsoa_code").tolist() == [1] * per_row + [0] * per_row
         assert [(s.lsoa_id, s.capacitance) for s in samples_of(samples)] == (
             [(a, 25000.0)] * per_row + [(c, 15000.0)] * per_row)
 
@@ -386,6 +433,49 @@ def test_kernel_equals_rc_oracle(rows, outdoor):
         assert build_envelope(run) == build_envelope(kept)
         assert rollup(run, load_region_table(), Level.LSOA) == \
             rollup(kept, load_region_table(), Level.LSOA)
+
+
+def test_kernel_blocks_equal_rc_oracle(monkeypatch):
+    # two whole row blocks and one row more, with failed rows in the second
+    # and third blocks: every row is what the scalar rc.evaluate returns,
+    # and the run equals one evaluated as a single block
+    block = scenario._BLOCK
+    n, m = 2 * block + 1, 500  # samples; good records, plus one rc refuses
+    rng = np.random.default_rng(5)
+    heat_loss = rng.uniform(0.05, 0.6, m + 1)
+    hp_size = heat_loss * rng.uniform(10.0, 40.0, m + 1)
+    hp_size[m] = 0.0
+    record = rng.integers(0, m, n, dtype=np.int32)
+    record[[block + 7, 2 * block]] = m
+    indoor = rng.uniform(14.0, 24.0, n)
+    indoor[block], indoor[2 * block - 1] = 500.0, math.nan
+    table = SampleTable(("E01000001",), np.zeros(m + 1, dtype=np.intp), np.ones(m + 1),
+                        heat_loss, rng.uniform(5e3, 5e4, m + 1), hp_size,
+                        record=record, indoor_temp=indoor)
+    for direction in Direction:
+        spec = spec_at(5.0)
+        run = run_scenario(table, spec, direction)
+        expected_errors = []
+        for i, (r, t) in enumerate(zip(record.tolist(), indoor.tolist())):
+            try:
+                dwelling = RcDwelling(resistance=1.0 / (float(heat_loss[r]) * 1000.0),
+                                      capacitance=float(table.capacitance[r]) * 1000.0,
+                                      hp_max_thermal=float(hp_size[r]) * 1000.0)
+                expected = evaluate(dwelling, t, 5.0, spec.cop_curve, spec.comfort_band,
+                                    direction)
+            except DomainError as exc:
+                expected_errors.append((i, str(exc)))
+                continue
+            got = outcome_at(run, i)
+            assert got.duration.kind == expected.duration.kind
+            assert got.magnitude_electric == expected.magnitude_electric
+            assert got.duration.seconds == expected.duration.seconds
+        assert [i for i, _ in expected_errors] == [block, block + 7, 2 * block - 1, 2 * block]
+        assert run.errors == tuple(expected_errors)
+        with monkeypatch.context() as patch:
+            patch.setattr(scenario, "_BLOCK", n)
+            whole = run_scenario(table, spec, direction)
+        assert runs_equal(run, whole)
 
 
 def test_positive_magnitude_by_region_at_minus5():
