@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -466,6 +467,8 @@ def export_plot_grid(
         raise HeatflexError(f"grid step must be finite and > 0, got {grid_s}")
     if not 0 <= cap_s < np.inf:
         raise HeatflexError(f"display cap must be finite and >= 0, got {cap_s}")
+    if 2 * grid_s <= math.ulp(cap_s):  # t += grid_s would stop advancing before cap_s
+        raise HeatflexError(f"grid step {grid_s} is below half an ulp of the cap {cap_s}")
     grid, t = [], 0.0
     while t <= cap_s:
         grid.append(t)

@@ -19,6 +19,7 @@ error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from collections import Counter
@@ -81,7 +82,11 @@ class _Stage:
         if self.verbose and exc[0] is None:
             dt = time.perf_counter() - self.t0
             suffix = f" ({self.detail})" if self.detail else ""
-            print(f"[heatflex] {self.name}: {dt:.3f}s{suffix}", file=sys.stderr)
+            # the process high-water so far; ru_maxrss is KiB on Linux, bytes on macOS
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+                2**20 if sys.platform == "darwin" else 2**10)
+            print(f"[heatflex] {self.name}: {dt:.3f}s{suffix}, peak RSS {peak:.1f} MB",
+                  file=sys.stderr)
         return False
 
 
@@ -99,7 +104,7 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
         metavar="LO,HI",
         help="percentile clipping bounds, or 'none' to disable (default 0.01,0.99)",
     )
-    p.add_argument("--verbose", action="store_true", help="per-stage timing on stderr")
+    p.add_argument("--verbose", action="store_true", help="per-stage timing and peak RSS on stderr")
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:

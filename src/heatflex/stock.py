@@ -5,11 +5,12 @@ count, average annual heat demands before/after energy efficiency measures
 (kWh/year per dwelling) and average floor area (m2 per dwelling).
 
 The stock is held as columns, one numpy array per field, in a `StockTable`:
-`load_stock` reads the CSV into per-column lists and checks whole columns at
-once, and `winsorize_stock` clips per category with array expressions. A
-`DwellingRecord` is one row, as `synth`, `write_stock` and iterating a table
-hand it out. Invalid rows are reported for the first row that fails, with
-the message a row-by-row reader would give.
+`load_stock` turns each block of CSV rows into arrays before it reads the
+next and checks whole columns at once; `winsorize_stock` clips per category
+with array expressions. A `DwellingRecord` is one row, as `synth`,
+`write_stock` and iterating a table hand it out. Invalid rows are reported
+for the first row that fails, with the message a row-by-row reader would
+give, from that row's cells read again from the file.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -101,6 +104,7 @@ class DwellingCategory:
 
 CATEGORIES = DwellingCategory.all()  # a table's category_code indexes this tuple
 CATEGORY_CODE = {category: code for code, category in enumerate(CATEGORIES)}
+_BLOCK = 1024  # rows load_stock holds as strings at a time; larger blocks raise its peak
 
 # Record invariants in the order they are checked: (violated(count, before,
 # after, floor_area), message). The expressions hold for scalars and for
@@ -231,57 +235,53 @@ def load_stock(
     Raises SchemaError for missing columns, ParseError (with the 1-based data
     row number) for bad or non-finite cells, DataValidationError for a row
     that breaks a record invariant and DuplicateRecordError for a repeated
-    (lsoa_id, category) key. Whole columns are checked at once; the error is
-    the one a row-by-row reader would raise at the first row that fails.
+    (lsoa_id, category) key. Rows are parsed _BLOCK at a time and whole columns
+    checked at once; the error is the one a row-by-row reader would raise at
+    the first row that fails, whose cells are read again from the file.
     """
     cols = _resolve_schema(schema)
     lsoas: dict[str, int] = {}
     categories: dict[tuple[str, str], int] = {}  # raw (form, heating) cells -> code, -1 if unknown
-    lsoa_code, category_code, *cells = [[] for _ in range(6)]  # cells: the four number columns
+    blocks = [(np.empty(0, np.intp), np.empty(0, np.int8), *[np.empty(0)] * 4)]  # an empty block
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in cols.values() if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
-        position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
-        at = [position[cols[f]] for f in cols]
-        lsoa_at, form_at, heating_at, count_at, before_at, after_at, area_at = at
-        counts, befores, afters, areas = cells
-        width = max(at) + 1
-        for row in filter(None, reader):  # a blank line is not a row
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            lsoa_code.append(lsoas.setdefault(row[lsoa_at].strip(), len(lsoas)))
-            pair = (row[form_at], row[heating_at])
-            if pair not in categories:
-                categories[pair] = _category_code(*pair)
-            category_code.append(categories[pair])
-            counts.append(row[count_at])
-            befores.append(row[before_at])
-            afters.append(row[after_at])
-            areas.append(row[area_at])
-
-    count, before, after, area = numbers = [_parse_column(c) for c in cells]
-    lsoa_code, category_code = np.array(lsoa_code, np.intp), np.array(category_code, np.int8)
+        rows = _rows(fh, path, cols)
+        while block := list(islice(rows, _BLOCK)):
+            ids, forms, heatings, *numbers = zip(*block)
+            pairs = list(zip(forms, heatings))
+            categories.update((p, _category_code(*p)) for p in set(pairs) - categories.keys())
+            blocks.append((
+                np.array([lsoas.setdefault(i.strip(), len(lsoas)) for i in ids], np.intp),
+                np.array([categories[p] for p in pairs], np.int8), *map(_parse_column, numbers)))
+    lsoa_code, category_code, count, before, after, area = map(np.concatenate, zip(*blocks))
+    del blocks  # the checks below need room for their temporaries
     bad = (category_code < 0) | ~_is_count(count)
-    for column in numbers[1:]:
+    for column in (before, after, area):
         bad |= ~np.isfinite(column)
     for violated, _ in _INVARIANTS:
-        bad |= violated(*numbers)
+        bad |= violated(count, before, after, area)
     _, first = np.unique(lsoa_code * len(CATEGORIES) + category_code, return_index=True)
     duplicate = np.ones(len(bad), dtype=bool)
     duplicate[first] = False
     if (bad | duplicate).any():
         i = int(np.argmax(bad | duplicate))
-        # the first unknown (form, heating) pair is the first failing row's, if it has one
-        pair = (next(p for p, code in categories.items() if code < 0) if category_code[i] < 0
-                else (CATEGORIES[category_code[i]].form.value,
-                      CATEGORIES[category_code[i]].heating.value))
-        raise _row_error(f"{path}: row {i + 1}: ", list(lsoas)[lsoa_code[i]], *pair,
-                         *(c[i] for c in cells))
+        with open(path, newline="", encoding="utf-8") as fh:
+            lsoa_id, *cells = next(islice(_rows(fh, path, cols), i, None))
+        raise _row_error(f"{path}: row {i + 1}: ", lsoa_id.strip(), *cells)
     return StockTable(tuple(lsoas), lsoa_code, category_code, count.astype(np.int64),
                       before, after, area)
+
+
+def _rows(fh, path, cols: dict[str, str]) -> Iterator[tuple[str, ...]]:
+    """Each row's cells for cols' fields; a blank line is no row, a missing cell reads ""."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    if missing := [c for c in cols.values() if c not in header]:
+        raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
+    position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+    at = [position[cols[f]] for f in cols]
+    pick, width = itemgetter(*at), max(at) + 1
+    for row in filter(None, reader):
+        yield pick(row if len(row) >= width else row + [""] * (width - len(row)))
 
 
 def _category_code(form: str, heating: str) -> int:

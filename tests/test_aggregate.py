@@ -584,10 +584,10 @@ def test_plot_grid_equals_power_at_per_point(tmp_path, grid_s, cap_s):
 
 
 @pytest.mark.parametrize("grid_s, cap_s", [(math.nan, 180.0), (math.inf, 180.0),
-                                           (60.0, math.nan), (60.0, -1.0)])
+                                           (60.0, math.nan), (60.0, -1.0), (1e-12, 86400.0)])
 def test_plot_grid_refuses_bad_grids(tmp_path, grid_s, cap_s):
-    # a non-finite step would write a one-point grid, and a nan or negative
-    # cap a bare header
+    # a non-finite step would write a one-point grid, a nan or negative cap a
+    # bare header, and a step below half an ulp of the cap never reaches it
     env = envelope_of([(30.0, 10.0)], 12.0, 1.0)
     with pytest.raises(HeatflexError):
         export_plot_grid(env, tmp_path / "grid.csv", grid_s=grid_s, cap_s=cap_s)

@@ -491,6 +491,20 @@ def test_verbose_times_every_stage(workspace, capsys):
                       "export"]
 
 
+def test_verbose_stages_end_with_the_peak_rss(workspace, capsys):
+    capsys.readouterr()
+    assert main(["sweep", "--stock", str(workspace / "stock.csv"),
+                 "--lookup", str(workspace / "stock_lookup.csv"),
+                 "--scenario", str(workspace / "scenario.ini"), "--direction", "neg",
+                 "--axis", "outdoor", "--values", "0,5",
+                 "--out", str(workspace / "peaks"), "--verbose"]) == EXIT_OK
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if re.match(r"\[heatflex\] [^:]+: \d+\.\d{3}s", line)]
+    peaks = [float(re.fullmatch(r".*, peak RSS (\d+\.\d) MB", line)[1]) for line in lines]
+    assert len(peaks) == 9  # load, winsorize, regions, then evaluate, aggregate, export twice
+    assert all(0 < a <= b for a, b in zip(peaks, peaks[1:]))
+
+
 def test_bad_scenario_exits_1(workspace):
     bad = workspace / "bad.ini"
     bad.write_text("[scenario]\noutdoor_temp = 5\nunknown_key = 1\n\n[indoor]\nmodel = fixed\n",

@@ -2,6 +2,7 @@
 
 import csv
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +34,9 @@ from heatflex import (
     winsorize_stock,
     write_stock,
 )
+from heatflex import stock as stock_module
+from heatflex.stock import StockTable
+from heatflex.synth import generate_stock
 
 from conftest import GAS_DETACHED, GAS_FLAT, make_record, make_region_table, percentile_by_hand
 
@@ -380,7 +384,7 @@ GOOD_ROWS = [
 LATER_BAD_ROW = "E01000003,igloo,gas_boiler,-1,x,1,1\n"  # faults of every kind, after row 3
 
 
-@pytest.mark.parametrize("row, error, message", [
+FIRST_FAILING_ROWS = [
     ("E01000002,bungalow,gas_boiler,5,12000,9000,110", ParseError,
      "unknown dwelling form 'bungalow'"),
     ("E01000002,detached,steam,5,12000,9000,110", ParseError,
@@ -405,7 +409,10 @@ LATER_BAD_ROW = "E01000003,igloo,gas_boiler,-1,x,1,1\n"  # faults of every kind,
      "expected a finite number, got 'nan'"),
     ("E01000002,detached,gas_boiler,5,12000,9000,-inf", ParseError,
      "expected a finite number, got '-inf'"),
-])
+]
+
+
+@pytest.mark.parametrize("row, error, message", FIRST_FAILING_ROWS)
 def test_load_stock_error_names_first_failing_row(tmp_path, row, error, message):
     # the class and full text a row-by-row reader gives, for the first row
     # that fails, whatever faults later rows hold
@@ -414,6 +421,106 @@ def test_load_stock_error_names_first_failing_row(tmp_path, row, error, message)
         load_stock(path)
     assert info.type is error
     assert str(info.value) == f"{path}: row 3: {message}"
+
+
+# ---------------------------------------------------------------------------
+# load_stock's row blocks, made 3 rows long so that small files span several
+# ---------------------------------------------------------------------------
+
+FILLER_ROWS = [f"E0100010{k},flat,gas_boiler,2,9000,8000,60\n" for k in range(8)]
+
+
+def reference_load(path):
+    """The stock a row-by-row csv.DictReader gives, for a file without faults."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        cells = [{k: v or "" for k, v in row.items()} for row in csv.DictReader(fh)]
+    return StockTable.from_records(
+        DwellingRecord(row["lsoa_id"].strip(), DwellingCategory.parse(row["form"], row["heating"]),
+                       int(row["count"]), float(row["heat_demand_before_kwh"]),
+                       float(row["heat_demand_after_kwh"]), float(row["floor_area_m2"]))
+        for row in cells)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9])
+def test_load_stock_across_blocks_equals_row_reader(tmp_path, monkeypatch, n):
+    # the LSOA id is the last column, so every third row can stop short of
+    # it and read as LSOA ""; LSOAs and spellings recur across blocks, and
+    # blank lines sit between rows and at the end
+    monkeypatch.setattr(stock_module, "_BLOCK", 3)
+    lines = []
+    for i in range(n):
+        category = CATEGORIES[i]
+        spellings = (FORM_SPELLINGS[category.form], HEATING_SPELLINGS[category.heating])
+        form, heating = (names[i % len(names)] for names in spellings)
+        count = i % 3  # rows 0, 3 and 6 are zero-count, and 0 and 6 carry zeros
+        numbers = (["0"] * 3 if i % 6 == 0 else [f"{9000 + i}.5", f"{8000 + i}.25", f"{60 + i}"])
+        cells = [form, heating, str(count), *numbers]
+        if count != 2:
+            cells.append(f"E0100000{i % 2}")
+        lines.append(",".join(cells) + "\n")
+        if i % 4 == 1:
+            lines.append("\n")
+    path = write_csv(tmp_path / "s.csv", lines + ["\n"],
+                     header="form,heating,count,heat_demand_before_kwh,heat_demand_after_kwh,"
+                            "floor_area_m2,lsoa_id\n")
+    stock, expected = load_stock(path), reference_load(path)
+    assert len(stock) == n
+    assert stock.lsoa_ids == expected.lsoa_ids
+    for name in ("lsoa_code", "category_code", "count", "demand_before", "demand_after",
+                 "floor_area"):
+        column, reference = getattr(stock, name), getattr(expected, name)
+        assert column.dtype == reference.dtype and np.array_equal(column, reference), name
+    assert list(stock) == list(expected)
+
+
+@pytest.mark.parametrize("position", [3, 4, 8])  # block 1's last row, block 2's first, in block 3
+@pytest.mark.parametrize("row, error, message", FIRST_FAILING_ROWS)
+def test_load_stock_error_across_blocks(tmp_path, monkeypatch, position, row, error, message):
+    monkeypatch.setattr(stock_module, "_BLOCK", 3)
+    rows = GOOD_ROWS + FILLER_ROWS[:position - 3] + [row + "\n", LATER_BAD_ROW] + FILLER_ROWS[5:]
+    path = write_csv(tmp_path / "s.csv", rows)
+    with pytest.raises(DataValidationError) as info:
+        load_stock(path)
+    assert info.type is error
+    assert str(info.value) == f"{path}: row {position}: {message}"
+
+
+DUPLICATE_OF_ROW_1 = ("E01000001,detached,gas_boiler,7,11000,9000,100", DuplicateRecordError,
+                      "duplicate record for (E01000001, detached/gas_boiler)")
+BAD_CELL = ("E01000009,flat,gas_boiler,1,x,1,1", ParseError, "expected a number, got 'x'")
+
+
+@pytest.mark.parametrize("first, second", [(DUPLICATE_OF_ROW_1, BAD_CELL),
+                                           (BAD_CELL, DUPLICATE_OF_ROW_1)])
+def test_load_stock_first_fault_wins_across_blocks(tmp_path, monkeypatch, first, second):
+    # one fault at row 2 in block 1, the other at row 7 in block 3: the
+    # earlier row names the error
+    monkeypatch.setattr(stock_module, "_BLOCK", 3)
+    path = write_csv(tmp_path / "s.csv", [GOOD_ROWS[0], first[0] + "\n", *FILLER_ROWS[:4],
+                                          second[0] + "\n", FILLER_ROWS[4]])
+    with pytest.raises(DataValidationError) as info:
+        load_stock(path)
+    assert info.type is first[1]
+    assert str(info.value) == f"{path}: row 2: {first[2]}"
+
+
+def test_load_stock_peak_memory_per_row(tmp_path):
+    # the load holds the cell strings of one block at a time, not of the
+    # whole file: about 110 bytes per row at the peak, where a loader that
+    # keeps every cell until the end takes about 340
+    records, _ = generate_stock(800_000, 7)
+    path = tmp_path / "s.csv"
+    write_stock(records, path)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        stock = load_stock(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(stock) >= 20_000
+    assert peak / len(stock) < 200
 
 
 def test_derive_error_names_first_failing_row():
