@@ -11,12 +11,13 @@ durations; unbounded samples set its floor. Envelope construction is a
 commutative fold, so partial envelopes built in parallel merge losslessly.
 
 Everything here works on the columns of a `ScenarioRun`, and a rollup folds
-every group in one pass: the finite rows are ordered once by (group,
-duration), and each sum over every group is one np.bincount. Sums run left
-to right in sample order (np.bincount and np.cumsum, not the pairwise
-np.sum), so each is the float a loop over the samples would give, and
-exports do not depend on how the sums are vectorised. An envelope, too, is
-two float arrays, which the exporters turn into Python floats by chunks.
+every group at once: one sort of the finite rows by (group, duration) gives
+each row its slot, then one pass over the run in blocks of rows adds each row
+into its group's sums and its slot's mass with np.add.at. Sums run left to
+right in sample order (np.add.at and np.cumsum, not the pairwise np.sum), so
+each is the float a loop over the samples would give, whatever the blocks.
+An envelope, too, is two float arrays, which the exporters turn into Python
+floats by chunks.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from .regions import RegionTable
 from .scenario import FAILED, FINITE, UNBOUNDED, ScenarioRun
 
 DISPLAY_CAP_S = 86400.0  # 24 h, export/plotting cap only, never used in totals
+_GRID_POINTS_MAX = 1_000_000  # points a plot grid may have; the default one has 1,441
 _CHUNK = 65536  # breakpoints turned into Python floats at a time by the exporters
+_BLOCK = 16384  # rows the rollup folds at a time; bounds its per-row temporaries
 
 
 class Level(Enum):
@@ -76,6 +79,8 @@ class Envelope:
                 and np.array_equal(self.power, other.power))
 
     def power_at(self, t: float) -> float:
+        if math.isnan(t):  # would otherwise read as past the last duration
+            raise HeatflexError("power_at needs a duration, got nan")
         if t <= 0:
             return self.total_power
         i = np.searchsorted(self.durations, t)
@@ -92,65 +97,94 @@ def _ordered_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
-def _power(run: ScenarioRun, rows: np.ndarray) -> np.ndarray:  # weights gathered per row
+def _power(run: ScenarioRun, rows) -> np.ndarray:  # weights gathered per row
     return run.samples.weight[run.samples.record[rows]] * np.abs(run.magnitude[rows])
 
 
-def _sums(code: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """The float sum of weights per code 0..n-1, added in row order (np.bincount
-    gives integers when there are no rows)."""
-    return np.bincount(code, weights=weights, minlength=n).astype(float, copy=False)
+def _places(run: ScenarioRun, group_of_record: np.ndarray, n: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Each group's count of (group, duration) slots, numbered in that order,
+    and the place in _fold's flat array of each finite row in a group, in
+    sample order: its slot plus its group, as each group's masses are followed
+    by its floor. The sort's row-sized arrays are freed on return."""
+    duration = np.empty(np.count_nonzero(run.kind == FINITE))
+    code = np.empty(len(duration), dtype=np.min_scalar_type(n))
+    end = 0
+    for start in range(0, len(run), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        group = group_of_record[run.samples.record[rows]]
+        finite = (run.kind[rows] == FINITE) & (group >= 0)
+        m = np.count_nonzero(finite)
+        duration[end:end + m], code[end:end + m] = run.duration[rows][finite], group[finite]
+        end += m
+    # by group, then duration; numpy sorts 8- and 16-bit codes stably by radix
+    order = np.argsort(duration[:end])
+    by_group = np.argsort(code[order], kind="stable") if n > 1 else None
+    place, per_group = np.empty(end, dtype=np.int32), np.zeros(n, dtype=np.intp)
+    slots, last = 0, None
+    for start in range(0, end, _BLOCK):
+        rows = order[start:start + _BLOCK] if by_group is None else \
+            order[by_group[start:start + _BLOCK]]
+        c, d = code[rows], duration[rows]
+        first = np.empty(len(rows), dtype=bool)  # the rows that open a slot
+        first[0] = last != (c[0], d[0])
+        first[1:] = (c[1:] != c[:-1]) | (d[1:] != d[:-1])
+        place[rows] = np.cumsum(first) + (slots - 1) + c
+        np.add.at(per_group, c[first], 1)
+        slots, last = slots + np.count_nonzero(first), (c[-1], d[-1])
+    return per_group, place
 
 
-def _fold(run: ScenarioRun, group: np.ndarray, n: int) -> tuple[list[Envelope], np.ndarray]:
-    """The envelope and finite energy (Wh) of each group 0..n-1 of one run;
-    group holds each row's group, or -1 for a row in none."""
+def _fold(run: ScenarioRun, group_of_record: np.ndarray, n: int
+          ) -> tuple[list[Envelope], np.ndarray, np.ndarray, float]:
+    """The envelope, finite energy (Wh) and installed power (W) of each group
+    0..n-1 of one run, and the power of the rows in no group. group_of_record
+    holds each record's group, or -1 for none; failed rows are in none."""
     if (run.magnitude > 0).any() and (run.magnitude < 0).any():
         raise ValueError("outcomes mix demand-increase and demand-reduction services")
-    member = group >= 0
-    unbounded = member & (run.kind == UNBOUNDED)
-    floors = _sums(group[unbounded], _power(run, unbounded), n)
-    finite = member & (run.kind == FINITE)
-    del unbounded, member
-    code, duration, power = group[finite], run.duration[finite], _power(run, finite)
-    del finite
-    energy = _sums(code, power * duration / 3600.0, n)
+    per_group, place = _places(run, group_of_record, n)
+    floor_at = np.cumsum(per_group) + np.arange(n)
+    starts = floor_at - per_group
 
-    # by group, then duration; numpy sorts 8- and 16-bit codes stably by radix
-    order = np.argsort(duration)
-    order = order[np.argsort(code[order].astype(np.min_scalar_type(n)), kind="stable")]
-    code, duration = code[order], duration[order]
-    first = np.ones(len(order), dtype=bool)  # the first row of each (group, duration) slot
-    first[1:] = (code[1:] != code[:-1]) | (duration[1:] != duration[:-1])
-    slot = np.empty(len(order), dtype=np.intp)
-    slot[order] = np.cumsum(first, dtype=np.intp)
-    slot -= 1
-    mass = _sums(slot, power, 0)  # per slot, added in sample order
-    del order, slot, power  # each row-sized array freed here lowers the peak
-    durations, slot_group = duration[first], code[first]
-    del code, duration
-    lo, hi = np.searchsorted(slot_group, [np.arange(n), np.arange(1, n + 1)])
+    # one pass in sample order; np.add.at adds in index order, as a loop would
+    flat, durations = np.zeros(int(per_group.sum()) + n), np.zeros(int(per_group.sum()) + n)
+    energy, installed, excluded, end = np.zeros(n), np.zeros(n), 0.0, 0
+    installed_of_record = run.samples.weight * (run.samples.hp_size * 1000.0)
+    for start in range(0, len(run), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        rec, kind, power = run.samples.record[rows], run.kind[rows], _power(run, rows)
+        group = group_of_record[rec]
+        member = (kind != FAILED) & (group >= 0)
+        np.add.at(installed, group[member], installed_of_record[rec[member]])
+        excluded = _ordered_sum(np.append(excluded, power[(kind != FAILED) & (group < 0)]))
+        unbounded = member & (kind == UNBOUNDED)
+        np.add.at(flat, floor_at[group[unbounded]], power[unbounded])
+        finite = member & (kind == FINITE)
+        m = np.count_nonzero(finite)
+        at, d, power = place[end:end + m], run.duration[rows][finite], power[finite]
+        end += m
+        np.add.at(flat, at, power)
+        durations[at] = d  # every row of a slot has its duration
+        np.add.at(energy, group[finite], power * d / 3600.0)
 
     # power at each duration: the floor plus the mass at it and at every
-    # longer duration, added from the longest duration down. Each group's
-    # masses and then its floor sit in one flat array; read backwards, a
-    # group runs [floor, mass at its longest duration, ..., at its shortest],
-    # so its sums are one running sum in place on a reversed view
+    # longer duration, added from the longest duration down. Read backwards,
+    # a group runs [floor, mass at its longest duration, ..., at its
+    # shortest], so its sums are one running sum in place on a reversed view
     # (np.add.accumulate, what np.cumsum calls, without its per-call overhead)
-    flat = np.insert(mass, hi, floors)
-    backwards, ends = flat[::-1], len(flat) - lo - np.arange(n)
-    for a, b in zip((ends - (hi - lo) - 1).tolist(), ends.tolist()):
+    backwards = flat[::-1]
+    for a, b in zip((len(flat) - 1 - floor_at).tolist(), (len(flat) - starts).tolist()):
         sums = backwards[a:b]
         np.add.accumulate(sums, out=sums)
-    totals, levels = flat[lo + np.arange(n)], np.delete(flat, hi + np.arange(n))
-    envelopes = [Envelope(durations[a:b], levels[a:b], total, floor) for a, b, total, floor
-                 in zip(lo.tolist(), hi.tolist(), totals.tolist(), floors.tolist())]
-    return envelopes, energy
+    envelopes = [Envelope(durations[a:b], flat[a:b], total, floor) for a, b, total, floor
+                 in zip(starts.tolist(), floor_at.tolist(),
+                        flat[starts].tolist(), flat[floor_at].tolist())]
+    return envelopes, energy, installed, excluded
 
 
 def build_envelope(run: ScenarioRun) -> Envelope:
     """Exact step envelope of one direction's outcomes."""
-    (envelope,), _ = _fold(run, np.zeros(len(run), dtype=np.int32), 1)
+    (envelope,), *_ = _fold(run, np.zeros(len(run.samples.weight), np.int32), 1)
     return envelope
 
 
@@ -169,7 +203,7 @@ class FiniteEnergy:
 
 def finite_energy(run: ScenarioRun) -> FiniteEnergy:
     """Sum of weight * |magnitude| * duration over finite samples, in Wh."""
-    (envelope,), (energy,) = _fold(run, np.zeros(len(run), dtype=np.int32), 1)
+    (envelope,), (energy,), *_ = _fold(run, np.zeros(len(run.samples.weight), np.int32), 1)
     return FiniteEnergy(
         energy_wh=float(energy),
         unbounded_count=int(np.count_nonzero(run.kind == UNBOUNDED)),
@@ -232,22 +266,18 @@ def rollup(run: ScenarioRun, regions: RegionTable, level: Level) -> AggregateRep
     at the requested level are listed and their power reported as excluded;
     the run continues without them. The group key is looked up once per
     distinct LSOA and mapped to groups once per record; every group is then
-    folded in one pass over the run.
+    folded from one sort and one pass over the run, a block of rows at a time.
     """
-    samples, kept = run.samples, run.kind != FAILED
-    used = np.bincount(samples.record[kept], minlength=len(samples.lsoa_code)) > 0
+    samples = run.samples
+    used = np.bincount(samples.record[run.kind != FAILED], minlength=len(samples.lsoa_code)) > 0
     key_of = {code: _lsoa_group_key(samples.lsoa_ids[code], regions, level)
               for code in np.unique(samples.lsoa_code[used]).tolist()}
     keys = sorted({key for key in key_of.values() if key is not None})
     index = {key: g for g, key in enumerate(keys)}  # an LSOA with no key maps to -1
     group_of_lsoa = np.array([index.get(key_of.get(code), -1)
                               for code in range(len(samples.lsoa_ids))], dtype=np.int32)
-    group = np.where(kept, group_of_lsoa[samples.lsoa_code][samples.record], np.int32(-1))
-
-    envelopes, energy = _fold(run, group, len(keys))
-    member = group >= 0
-    installed_of_record = samples.weight * (samples.hp_size * 1000.0)
-    installed = _sums(group[member], installed_of_record[samples.record[member]], len(keys))
+    envelopes, energy, installed, excluded = _fold(run, group_of_lsoa[samples.lsoa_code],
+                                                   len(keys))
     groups = {key: GroupStats(envelope, w, wh)  # installed W, finite energy Wh
               for key, envelope, w, wh in zip(keys, envelopes, installed.tolist(), energy.tolist())}
     return AggregateReport(
@@ -259,7 +289,7 @@ def rollup(run: ScenarioRun, regions: RegionTable, level: Level) -> AggregateRep
         total_finite_energy_wh=_ordered_sum(energy),
         unresolved_lsoas=tuple(sorted(samples.lsoa_ids[code]
                                       for code, key in key_of.items() if key is None)),
-        excluded_power_w=_ordered_sum(_power(run, kept & (group < 0))),
+        excluded_power_w=excluded,
     )
 
 
@@ -467,19 +497,19 @@ def export_plot_grid(
         raise HeatflexError(f"grid step must be finite and > 0, got {grid_s}")
     if not 0 <= cap_s < np.inf:
         raise HeatflexError(f"display cap must be finite and >= 0, got {cap_s}")
-    if 2 * grid_s <= math.ulp(cap_s):  # t += grid_s would stop advancing before cap_s
-        raise HeatflexError(f"grid step {grid_s} is below half an ulp of the cap {cap_s}")
-    grid, t = [], 0.0
-    while t <= cap_s:
-        grid.append(t)
-        t += grid_s
+    if not cap_s / grid_s < _GRID_POINTS_MAX:  # also refuses a step t += grid_s cannot add
+        raise HeatflexError(f"grid step {grid_s} up to {cap_s} gives too many points")
+    # t += grid_s in turn; over so few steps rounding moves t far less than a
+    # step, so the grid ends within one step past cap_s / grid_s
+    grid = np.add.accumulate(np.append(0.0, np.full(int(cap_s / grid_s) + 1, grid_s)))
+    grid = grid[grid <= cap_s]
     # power_at over the whole grid: the first breakpoint at or after each t
     steps = np.append(envelope.power, envelope.unbounded_power)
-    power = np.where(np.array(grid) <= 0, envelope.total_power,
+    power = np.where(grid <= 0, envelope.total_power,
                      steps[np.searchsorted(envelope.durations, grid)])
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["duration_s", "power_w"])
-        writer.writerows([repr(t), repr(p)] for t, p in zip(grid, power.tolist()))
+        writer.writerows([repr(t), repr(p)] for t, p in zip(grid.tolist(), power.tolist()))
     return path

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,9 +36,11 @@ from heatflex import (
     rollup,
     run_stock_scenario,
 )
+from heatflex import aggregate as aggregate_module
+from heatflex.scenario import FAILED, FINITE, UNBOUNDED, ZERO
+from heatflex.synth import generate_stock
 
 from conftest import column, make_region_table, make_run, make_sample
-from heatflex.scenario import FAILED, FINITE, UNBOUNDED, ZERO
 
 
 def outcome(mag, duration):
@@ -135,6 +138,14 @@ def test_envelope_monotone_and_partition_additive():
     past = [durations[-1] + 1.0, durations[-1] * 10, float("inf")]
     for t in [-1.0, 0.0, durations[0] / 2, *on, *between, *past]:
         assert whole.power_at(t) == scanned_power_at(t)
+
+
+def test_power_at_refuses_nan():
+    # nan is neither <= 0 nor before any duration, so it would read the floor
+    env = envelope_of([(30.0, 10.0)], 12.0, 1.0)
+    with pytest.raises(HeatflexError, match="nan"):
+        env.power_at(math.nan)
+    assert env.power_at(math.inf) == 1.0
 
 
 def test_finite_energy_arithmetic():
@@ -328,9 +339,7 @@ def oracle_runs(draw):
                        magnitude=magnitude, duration=duration, kind=kind)
 
 
-@settings(max_examples=200, deadline=None)
-@given(oracle_runs())
-def test_rollup_equals_the_per_group_loop(run):
+def assert_rollup_equals_the_per_group_loop(run):
     regions = make_region_table(ORACLE_LOOKUP)
     del regions.lsoa_to_local_authority["E01000010"]
     for level in Level:
@@ -343,6 +352,69 @@ def test_rollup_equals_the_per_group_loop(run):
         energy_wh=_reference_sum(power[finite] * run.duration[finite] / 3600.0),
         unbounded_count=int(np.count_nonzero(run.kind == UNBOUNDED)),
         unbounded_power_w=whole.unbounded_power)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_runs())
+def test_rollup_equals_the_per_group_loop(run):
+    assert_rollup_equals_the_per_group_loop(run)
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_runs(), st.integers(1, 40))
+def test_rollup_across_blocks_equals_the_per_group_loop(run, block):
+    # the fold reads the run a block of rows at a time, once in sample order
+    # and once in (group, duration) order; any block size gives the same floats
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(aggregate_module, "_BLOCK", block)
+        assert_rollup_equals_the_per_group_loop(run)
+
+
+def test_rollup_rows_on_both_sides_of_block_boundaries(monkeypatch):
+    # 2 blocks of 6 rows and 1 more: equal durations in one group straddle
+    # both boundaries in sample order (rows 5|6, 11|12) and the first in
+    # (group, duration) order at national level; failed, unbounded and
+    # unresolved rows sit on both sides of the first and before the second
+    monkeypatch.setattr(aggregate_module, "_BLOCK", 6)
+    a, b, stray = 0, 1, ORACLE_LSOAS.index("E01099999")  # Wales/LA 0, London/LA 1, no lookup
+    rows = [(FINITE, a, 600.0), (ZERO, b, 0.0), (FAILED, a, math.nan), (UNBOUNDED, b, math.inf),
+            (FINITE, stray, 600.0), (FINITE, a, 600.0),
+            (FINITE, a, 600.0), (UNBOUNDED, stray, math.inf), (FAILED, b, math.nan),
+            (FINITE, b, 60.0), (FINITE, stray, 600.0), (FINITE, b, 600.0),
+            (FINITE, b, 600.0)]
+    kind, lsoa, duration = (np.array(c) for c in zip(*rows))
+    n = len(rows)
+    magnitude = np.where((kind == FINITE) | (kind == UNBOUNDED), -100.0 - np.arange(n) / 7, 0.0)
+    samples = SampleTable(ORACLE_LSOAS, lsoa, 0.5 + np.arange(n) / 3, np.full(n, 0.2),
+                          np.full(n, 25000.0), 1.0 + np.arange(n) / 9,
+                          record=np.arange(n, dtype=np.int32), indoor_temp=np.full(n, 19.0))
+    run = ScenarioRun(samples=samples,
+                      spec=ScenarioSpec(outdoor_temp=0.0, indoor_model=FixedIndoor()),
+                      direction=Direction.NEGATIVE, magnitude=magnitude,
+                      duration=duration, kind=kind.astype(np.int8))
+    assert n == 2 * aggregate_module._BLOCK + 1
+    assert_rollup_equals_the_per_group_loop(run)
+    assert build_envelope(run).durations.tolist() == [60.0, 600.0]
+
+
+def test_rollup_peak_memory_per_sample():
+    # beyond the sort of its finite rows, the fold keeps no array the size of
+    # the run: about 18 bytes per sample at the peak on a national run, where
+    # a fold that gathers power, codes and slots for every row takes about 41
+    records, lookup = generate_stock(800_000, 7)
+    regions = make_region_table({lsoa: (region, la) for lsoa, region, la in lookup})
+    spec = ScenarioSpec(outdoor_temp=5.0, indoor_model=TruncatedNormalIndoor(seed=7))
+    run = run_stock_scenario(records, regions, spec, Direction.NEGATIVE, expansion=10)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = rollup(run, regions, Level.NATIONAL)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(run) >= 200_000 and len(report.groups["national"].envelope.durations) > 0
+    assert peak / len(run) < 30
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +638,13 @@ def test_plot_grid_export(tmp_path):
     assert lines[3].endswith("0.0")
 
 
-@pytest.mark.parametrize("grid_s, cap_s", [(7.5, 400.0), (0.1, 31.0), (60.0, 59.0)])
+@pytest.mark.parametrize("grid_s, cap_s", [(7.5, 400.0), (0.1, 31.0), (60.0, 59.0),
+                                           (0.1, 3000.0)])
 def test_plot_grid_equals_power_at_per_point(tmp_path, grid_s, cap_s):
     # one lookup over the whole grid writes what a power_at call per point
     # writes, with grid points on, between and beyond the breakpoints; t = 0
-    # reads total_power, set apart from the first step here
+    # reads total_power, set apart from the first step here. 30,000 steps of
+    # 0.1 drift from multiples of 0.1, and the grid must drift the same way
     env = envelope_of([(30.0, 10.0), (150.0, 6.0), (300.0, 2.5)], 12.0, 1.0)
     path = export_plot_grid(env, tmp_path / "grid.csv", grid_s=grid_s, cap_s=cap_s)
     with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
@@ -584,10 +658,12 @@ def test_plot_grid_equals_power_at_per_point(tmp_path, grid_s, cap_s):
 
 
 @pytest.mark.parametrize("grid_s, cap_s", [(math.nan, 180.0), (math.inf, 180.0),
-                                           (60.0, math.nan), (60.0, -1.0), (1e-12, 86400.0)])
+                                           (60.0, math.nan), (60.0, -1.0), (1e-12, 86400.0),
+                                           (1e-10, 86400.0)])
 def test_plot_grid_refuses_bad_grids(tmp_path, grid_s, cap_s):
     # a non-finite step would write a one-point grid, a nan or negative cap a
-    # bare header, and a step below half an ulp of the cap never reaches it
+    # bare header, a step below half an ulp of the cap never reaches it, and
+    # one just above that asks for 8.6e14 points
     env = envelope_of([(30.0, 10.0)], 12.0, 1.0)
     with pytest.raises(HeatflexError):
         export_plot_grid(env, tmp_path / "grid.csv", grid_s=grid_s, cap_s=cap_s)
