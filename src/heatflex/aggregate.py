@@ -17,7 +17,7 @@ into its group's sums and its slot's mass with np.add.at. Sums run left to
 right in sample order (np.add.at and np.cumsum, not the pairwise np.sum), so
 each is the float a loop over the samples would give, whatever the blocks.
 An envelope, too, is two float arrays, which the exporters turn into Python
-floats by chunks.
+floats a block at a time.
 """
 
 from __future__ import annotations
@@ -36,12 +36,10 @@ import numpy as np
 
 from .errors import DataValidationError, HeatflexError
 from .regions import RegionTable
-from .scenario import FAILED, FINITE, UNBOUNDED, ScenarioRun
+from .scenario import FAILED, FINITE, UNBOUNDED, ScenarioRun, _blocks
 
 DISPLAY_CAP_S = 86400.0  # 24 h, export/plotting cap only, never used in totals
 _GRID_POINTS_MAX = 1_000_000  # points a plot grid may have; the default one has 1,441
-_CHUNK = 65536  # breakpoints turned into Python floats at a time by the exporters
-_BLOCK = 16384  # rows the rollup folds at a time; bounds its per-row temporaries
 
 
 class Level(Enum):
@@ -110,8 +108,7 @@ def _places(run: ScenarioRun, group_of_record: np.ndarray, n: int
     duration = np.empty(np.count_nonzero(run.kind == FINITE))
     code = np.empty(len(duration), dtype=np.min_scalar_type(n))
     end = 0
-    for start in range(0, len(run), _BLOCK):
-        rows = slice(start, start + _BLOCK)
+    for rows in _blocks(len(run)):
         group = group_of_record[run.samples.record[rows]]
         finite = (run.kind[rows] == FINITE) & (group >= 0)
         m = np.count_nonzero(finite)
@@ -122,9 +119,8 @@ def _places(run: ScenarioRun, group_of_record: np.ndarray, n: int
     by_group = np.argsort(code[order], kind="stable") if n > 1 else None
     place, per_group = np.empty(end, dtype=np.int32), np.zeros(n, dtype=np.intp)
     slots, last = 0, None
-    for start in range(0, end, _BLOCK):
-        rows = order[start:start + _BLOCK] if by_group is None else \
-            order[by_group[start:start + _BLOCK]]
+    for block in _blocks(end):
+        rows = order[block] if by_group is None else order[by_group[block]]
         c, d = code[rows], duration[rows]
         first = np.empty(len(rows), dtype=bool)  # the rows that open a slot
         first[0] = last != (c[0], d[0])
@@ -150,8 +146,7 @@ def _fold(run: ScenarioRun, group_of_record: np.ndarray, n: int
     flat, durations = np.zeros(int(per_group.sum()) + n), np.zeros(int(per_group.sum()) + n)
     energy, installed, excluded, end = np.zeros(n), np.zeros(n), 0.0, 0
     installed_of_record = run.samples.weight * (run.samples.hp_size * 1000.0)
-    for start in range(0, len(run), _BLOCK):
-        rows = slice(start, start + _BLOCK)
+    for rows in _blocks(len(run)):
         rec, kind, power = run.samples.record[rows], run.kind[rows], _power(run, rows)
         group = group_of_record[rec]
         member = (kind != FAILED) & (group >= 0)
@@ -211,12 +206,18 @@ def finite_energy(run: ScenarioRun) -> FiniteEnergy:
     )
 
 
+def _check_cap(cap_s: float) -> None:
+    if not 0 <= cap_s < np.inf:  # nan fails too
+        raise HeatflexError(f"display cap must be finite and >= 0, got {cap_s}")
+
+
 def capped_energy(run: ScenarioRun, cap_s: float = DISPLAY_CAP_S) -> float:
     """Display-oriented energy with every duration capped at cap_s, in Wh.
 
     Counts unbounded samples at the cap. Only meaningful for plotting and
     informal comparisons; totals and reports use finite_energy.
     """
+    _check_cap(cap_s)
     counted = (run.kind == FINITE) | (run.kind == UNBOUNDED)
     capped = np.minimum(run.duration[counted], cap_s)  # unbounded: inf -> cap_s
     return _ordered_sum(_power(run, counted) * capped / 3600.0)
@@ -355,8 +356,9 @@ def _export_csv(report: AggregateReport, out_dir: Path) -> list[Path]:
         writer.writerow([report.level.value, _TOTAL_KEY, *map(repr, _totals(report)),
                          repr(report.excluded_power_w)])
 
+    unresolved_path = out_dir / "unresolved.csv"
+    unresolved_path.unlink(missing_ok=True)  # else an older copy is read back with this report
     if report.unresolved_lsoas:
-        unresolved_path = out_dir / "unresolved.csv"
         with open(unresolved_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["lsoa_id"])
@@ -396,11 +398,11 @@ def _export_json(report: AggregateReport, path: Path) -> Path:
 
 
 def _pairs(envelope: Envelope) -> Iterator[tuple[float, float]]:
-    """The breakpoints as pairs of Python floats, converted _CHUNK at a time,
-    so that a long envelope is never held whole as Python objects."""
+    """The breakpoints as pairs of Python floats, converted a block of rows at
+    a time, so that a long envelope is never held whole as Python objects."""
     d, p = envelope.durations, envelope.power
-    return chain.from_iterable(zip(d[i:i + _CHUNK].tolist(), p[i:i + _CHUNK].tolist())
-                               for i in range(0, len(d), _CHUNK))
+    return chain.from_iterable(zip(d[rows].tolist(), p[rows].tolist())
+                               for rows in _blocks(len(d)))
 
 
 def _json_pairs(pairs: Iterable[tuple[float, float]], indent: int) -> Iterator[str]:
@@ -495,8 +497,7 @@ def export_plot_grid(
     """
     if not 0 < grid_s < np.inf:  # nan fails too
         raise HeatflexError(f"grid step must be finite and > 0, got {grid_s}")
-    if not 0 <= cap_s < np.inf:
-        raise HeatflexError(f"display cap must be finite and >= 0, got {cap_s}")
+    _check_cap(cap_s)
     if not cap_s / grid_s < _GRID_POINTS_MAX:  # also refuses a step t += grid_s cannot add
         raise HeatflexError(f"grid step {grid_s} up to {cap_s} gives too many points")
     # t += grid_s in turn; over so few steps rounding moves t far less than a

@@ -23,6 +23,7 @@ import resource
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,35 +60,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class _Timer:
-    def __init__(self, verbose: bool):
-        self.verbose = verbose
-
-    def stage(self, name: str, detail: str = ""):
-        return _Stage(name, detail, self.verbose)
-
-
-class _Stage:
-    def __init__(self, name, detail, verbose):
-        self.name, self.detail, self.verbose = name, detail, verbose
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def done(self, detail: str):
-        self.detail = detail
-
-    def __exit__(self, *exc):
-        if self.verbose and exc[0] is None:
-            dt = time.perf_counter() - self.t0
-            suffix = f" ({self.detail})" if self.detail else ""
-            # the process high-water so far; ru_maxrss is KiB on Linux, bytes on macOS
-            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
-                2**20 if sys.platform == "darwin" else 2**10)
-            print(f"[heatflex] {self.name}: {dt:.3f}s{suffix}, peak RSS {peak:.1f} MB",
-                  file=sys.stderr)
-        return False
+@contextmanager
+def _stage(verbose: bool, name: str):
+    """Time the body; yields a callable that takes its detail text. When
+    verbose and the body returns, print the time, detail and peak RSS."""
+    details = []
+    t0 = time.perf_counter()
+    yield details.append
+    if verbose:
+        dt = time.perf_counter() - t0
+        suffix = f" ({details[-1]})" if details else ""
+        # the process high-water so far; ru_maxrss is KiB on Linux, bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+            2**20 if sys.platform == "darwin" else 2**10)
+        print(f"[heatflex] {name}: {dt:.3f}s{suffix}, peak RSS {peak:.1f} MB", file=sys.stderr)
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -170,47 +156,47 @@ def _parse_winsorize(raw: str) -> tuple[float, float] | None:
     return lo, hi
 
 
-def _load_inputs(args, timer: _Timer):
+def _load_inputs(args):
     bounds = _parse_winsorize(args.winsorize)  # a bad value exits 1 before the stock loads
-    with timer.stage("load stock") as st:
+    with _stage(args.verbose, "load stock") as done:
         records = load_stock(args.stock)
-        st.done(f"{len(records)} records")
+        done(f"{len(records)} records")
     if bounds is not None:
-        with timer.stage("winsorize") as st:
+        with _stage(args.verbose, "winsorize") as done:
             records = winsorize_stock(records, *bounds)
-            st.done(f"bounds {bounds}")
-    with timer.stage("load regions"):
+            done(f"bounds {bounds}")
+    with _stage(args.verbose, "load regions"):
         regions = load_region_table(args.regions, args.lookup)
     return records, regions
 
 
 def _cmd_derive(args) -> int:
-    timer = _Timer(args.verbose)
-    records, regions = _load_inputs(args, timer)
+    records, regions = _load_inputs(args)
     level = CapacityLevel.parse(args.capacity)
     variant = StockVariant(args.variant)
-    with timer.stage("derive") as st:
+    with _stage(args.verbose, "derive") as done:
         params = derive_all(records, regions, level, variant)
-        st.done(f"{len(params)} parameter sets")
+        done(f"{len(params)} parameter sets")
     write_params_csv(params, args.out)
     return EXIT_OK
 
 
 def _run_jobs(args, jobs: list[tuple[str, scenario.ScenarioSpec]]) -> int:
     """Run each (subdir, spec) job in order and export it under --out/subdir as it arrives."""
-    timer = _Timer(args.verbose)
-    records, regions = _load_inputs(args, timer)
+    if args.expansion < 1:  # exits 1 before the stock loads, as a bad --winsorize does
+        raise ConfigError(f"--expansion must be >= 1, got {args.expansion}")
+    records, regions = _load_inputs(args)
     level, fmt = _LEVELS[args.level], aggregate.ExportFormat(args.format)
     runs = scenario.run_sweep(records, regions, [spec for _, spec in jobs],
                               _DIRECTIONS[args.direction], args.expansion)
     for subdir, _ in jobs:
-        with timer.stage(f"evaluate {subdir}".rstrip()) as st:
+        with _stage(args.verbose, f"evaluate {subdir}".rstrip()) as done:
             run = next(runs)
-            st.done(f"{len(run) - len(run.errors)} outcomes")
-        with timer.stage("aggregate") as st:
+            done(f"{len(run) - len(run.errors)} outcomes")
+        with _stage(args.verbose, "aggregate") as done:
             report = aggregate.rollup(run, regions, level)
-            st.done(f"{len(report.groups)} group(s)")
-        with timer.stage("export"):
+            done(f"{len(report.groups)} group(s)")
+        with _stage(args.verbose, "export"):
             aggregate.export_report(report, fmt, Path(args.out) / subdir)
         if run.errors:
             _report_failures(run.errors)
@@ -253,6 +239,9 @@ def _cmd_retrofit(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    for flag, value in (("--dwellings", args.dwellings), ("--seed", args.seed)):
+        if value < 0:  # both are usage errors, found before anything runs
+            raise ConfigError(f"{flag} must be >= 0, got {value}")
     records, lookup = synth.generate_stock(args.dwellings, args.seed)
     write_stock(records, args.out)
     lookup_out = args.lookup_out

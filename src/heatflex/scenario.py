@@ -50,7 +50,12 @@ from .stock import CATEGORIES, DwellingRecord, StockTable, as_stock_table
 from .thermal import CapacityLevel, StockVariant, ThermalTable, derive_all
 
 DEFAULT_EXPANSION = 10  # sub-samples per record under a stochastic indoor model
-_BLOCK = 16384  # rows evaluated, or values drawn, at a time; bounds the temporaries
+_BLOCK = 16384  # rows each pass over a run, or values drawn, at a time; bounds temporaries
+
+
+def _blocks(n: int) -> list[slice]:
+    """Slices of _BLOCK rows, as _BLOCK is now, that cover rows 0..n-1 in order."""
+    return [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -394,8 +399,7 @@ def run_scenario(
     cop = cop_at(spec.cop_curve, outdoor)
     magnitude, duration = np.empty(len(samples)), np.empty(len(samples))
     kind = np.empty(len(samples), dtype=np.int8)
-    for start in range(0, len(samples), _BLOCK):  # the temporaries stay block-sized
-        rows = slice(start, start + _BLOCK)
+    for rows in _blocks(len(samples)):  # the temporaries stay block-sized
         rec, indoor = samples.record[rows], samples.indoor_temp[rows]
         m, d, k = magnitude[rows], duration[rows], kind[rows]  # views, written in place
         with np.errstate(all="ignore"):  # failed rows may hold nan or inf

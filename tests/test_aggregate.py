@@ -36,7 +36,7 @@ from heatflex import (
     rollup,
     run_stock_scenario,
 )
-from heatflex import aggregate as aggregate_module
+from heatflex import scenario as scenario_module
 from heatflex.scenario import FAILED, FINITE, UNBOUNDED, ZERO
 from heatflex.synth import generate_stock
 
@@ -180,6 +180,11 @@ def test_capped_energy_counts_unbounded_at_cap():
         (make_sample(weight=1.0), outcome(-100.0, Duration.unbounded())),
     ]
     assert capped_energy(make_run(outcomes), cap_s=3600.0) == pytest.approx(200.0)
+    assert capped_energy(make_run(outcomes), cap_s=0.0) == 0.0
+    # the caps export_plot_grid refuses; let through they gave a negative, nan or inf energy
+    for cap_s in (-1.0, math.nan, math.inf):
+        with pytest.raises(HeatflexError, match="display cap"):
+            capped_energy(make_run(outcomes), cap_s=cap_s)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +371,7 @@ def test_rollup_across_blocks_equals_the_per_group_loop(run, block):
     # the fold reads the run a block of rows at a time, once in sample order
     # and once in (group, duration) order; any block size gives the same floats
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(aggregate_module, "_BLOCK", block)
+        patch.setattr(scenario_module, "_BLOCK", block)
         assert_rollup_equals_the_per_group_loop(run)
 
 
@@ -375,7 +380,7 @@ def test_rollup_rows_on_both_sides_of_block_boundaries(monkeypatch):
     # both boundaries in sample order (rows 5|6, 11|12) and the first in
     # (group, duration) order at national level; failed, unbounded and
     # unresolved rows sit on both sides of the first and before the second
-    monkeypatch.setattr(aggregate_module, "_BLOCK", 6)
+    monkeypatch.setattr(scenario_module, "_BLOCK", 6)
     a, b, stray = 0, 1, ORACLE_LSOAS.index("E01099999")  # Wales/LA 0, London/LA 1, no lookup
     rows = [(FINITE, a, 600.0), (ZERO, b, 0.0), (FAILED, a, math.nan), (UNBOUNDED, b, math.inf),
             (FINITE, stray, 600.0), (FINITE, a, 600.0),
@@ -392,7 +397,7 @@ def test_rollup_rows_on_both_sides_of_block_boundaries(monkeypatch):
                       spec=ScenarioSpec(outdoor_temp=0.0, indoor_model=FixedIndoor()),
                       direction=Direction.NEGATIVE, magnitude=magnitude,
                       duration=duration, kind=kind.astype(np.int8))
-    assert n == 2 * aggregate_module._BLOCK + 1
+    assert n == 2 * scenario_module._BLOCK + 1
     assert_rollup_equals_the_per_group_loop(run)
     assert build_envelope(run).durations.tolist() == [60.0, 600.0]
 
@@ -515,6 +520,22 @@ def test_total_unbounded_power_is_sum_of_groups(tmp_path, small_stock):
     assert load_report(tmp_path / "json", ExportFormat.JSON) == report
 
 
+def test_csv_reexport_removes_a_stale_unresolved_file(tmp_path):
+    # a report with no unresolved LSOA, exported over one that had some,
+    # must read back as itself and not with the older report's list
+    table, outcomes = la_fixture()
+    stray = (make_sample(weight=1.0, lsoa_id="E01999999"),
+             outcome(-40.0, Duration.finite(60.0)))
+    export_report(rollup(make_run(outcomes + [stray]), table, Level.LOCAL_AUTHORITY),
+                  ExportFormat.CSV, tmp_path)
+    assert (tmp_path / "unresolved.csv").exists()
+    report = rollup(make_run(outcomes), table, Level.LOCAL_AUTHORITY)
+    assert report.unresolved_lsoas == ()
+    export_report(report, ExportFormat.CSV, tmp_path)
+    assert not (tmp_path / "unresolved.csv").exists()
+    assert load_report(tmp_path, ExportFormat.CSV) == report
+
+
 def test_export_idempotent_bytes(tmp_path):
     table, outcomes = la_fixture()
     report = rollup(make_run(outcomes), table, Level.LOCAL_AUTHORITY)
@@ -595,10 +616,10 @@ def test_csv_envelope_writes_what_csv_writer_writes(tmp_path):
         report, tmp_path / "reference.csv")
 
 
-def test_exports_cross_chunk_boundaries(tmp_path):
-    # the exporters turn an envelope into Python floats 65,536 breakpoints at
-    # a time; a group of 150,001 crosses two chunk boundaries and ends in a
-    # part chunk, next to a group with none
+def test_exports_cross_block_boundaries(tmp_path):
+    # the exporters turn an envelope into Python floats a block of rows at a
+    # time; a group of 150,001 crosses several block boundaries and ends in a
+    # part block, next to a group with none
     rng = np.random.default_rng(5)
     durations = np.cumsum(rng.random(150_001) * 100.0 + 1e-3)
     power = np.cumsum(rng.random(150_001))[::-1] + 0.25
@@ -615,6 +636,27 @@ def test_exports_cross_chunk_boundaries(tmp_path):
     assert (tmp_path / "json" / "report.json").read_text(encoding="utf-8") == \
         json_module_report(report)
     assert load_report(tmp_path / "json", ExportFormat.JSON) == report
+
+
+def test_exports_equal_across_block_sizes(tmp_path, monkeypatch):
+    # a block of 3 splits 11 breakpoints into 3 + 3 + 3 + 2 and 3 into one
+    # whole block; neither export may move a byte
+    rng = np.random.default_rng(11)
+    durations, power = np.cumsum(rng.random(11) * 600.0), np.cumsum(rng.random(11))[::-1]
+    groups = {"long": GroupStats(Envelope(durations, power, float(power[0]), 0.0), 9.5, 1.25),
+              "three": GroupStats(envelope_of([(1e-300, 3.0), (1.5, 2.0), (2.5, 1.0)],
+                                              3.0, 0.5), 4.0, 0.5),
+              "empty": GroupStats(Envelope([], [], 3.0, 3.0), 4.0, 0.0)}
+    report = AggregateReport(Level.LSOA, groups, 17.5, float(power[0]) + 6.0, 3.5, 1.75,
+                             unresolved_lsoas=("E01999999",), excluded_power_w=2.5)
+    whole = {p.name: p.read_bytes() for fmt in ExportFormat
+             for p in export_report(report, fmt, tmp_path / "whole")}
+    monkeypatch.setattr(scenario_module, "_BLOCK", 3)
+    blocks = {p.name: p.read_bytes() for fmt in ExportFormat
+              for p in export_report(report, fmt, tmp_path / "blocks")}
+    assert len(durations) >= 10 and sorted(whole) == sorted(blocks) == [
+        "envelope.csv", "report.json", "summary.csv", "unresolved.csv"]
+    assert blocks == whole
 
 
 def test_export_empty_report(tmp_path):

@@ -478,6 +478,22 @@ def test_usage_errors_exit_1(workspace, capsys):
             "--out", str(workspace / "p.csv"),
         ]) == EXIT_USAGE, bounds
         assert "--winsorize" in capsys.readouterr().err
+    # so are a negative synth count or seed, and an expansion below 1,
+    # found before anything runs: synth writes no stock, and flex loads none
+    for flag, value in (("--dwellings", "-1"), ("--seed", "-1")):
+        args = {"--dwellings": "10", "--seed": "3", flag: value}
+        assert main(["synth", *(t for kv in args.items() for t in kv),
+                     "--out", str(workspace / "bad.csv")]) == EXIT_USAGE, flag
+        assert flag in capsys.readouterr().err
+        assert not (workspace / "bad.csv").exists()
+    for expansion in ("0", "-3"):
+        assert main(["flex", "--stock", str(workspace / "no_such_stock.csv"),
+                     "--lookup", str(workspace / "stock_lookup.csv"),
+                     "--scenario", str(workspace / "scenario.ini"), "--direction", "neg",
+                     "--expansion", expansion, "--out", str(workspace / "x"),
+                     "--verbose"]) == EXIT_USAGE, expansion
+        err = capsys.readouterr().err
+        assert "--expansion" in err and "load stock" not in err
 
 
 def test_verbose_times_every_stage(workspace, capsys):
@@ -503,6 +519,18 @@ def test_verbose_stages_end_with_the_peak_rss(workspace, capsys):
     peaks = [float(re.fullmatch(r".*, peak RSS (\d+\.\d) MB", line)[1]) for line in lines]
     assert len(peaks) == 9  # load, winsorize, regions, then evaluate, aggregate, export twice
     assert all(0 < a <= b for a, b in zip(peaks, peaks[1:]))
+
+
+def test_verbose_derive_times_its_stages(workspace, capsys):
+    capsys.readouterr()
+    assert main(["derive", "--stock", str(workspace / "stock.csv"),
+                 "--lookup", str(workspace / "stock_lookup.csv"),
+                 "--out", str(workspace / "params.csv"), "--verbose"]) == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    stages = [re.fullmatch(r"\[heatflex\] ([a-z ]+): \d+\.\d{3}s.*, peak RSS \d+\.\d MB",
+                           line) for line in lines]
+    assert all(stages), lines
+    assert [m[1] for m in stages] == ["load stock", "winsorize", "load regions", "derive"]
 
 
 def test_bad_scenario_exits_1(workspace):
