@@ -16,8 +16,8 @@ each row its slot, then one pass over the run in blocks of rows adds each row
 into its group's sums and its slot's mass with np.add.at. Sums run left to
 right in sample order (np.add.at and np.cumsum, not the pairwise np.sum), so
 each is the float a loop over the samples would give, whatever the blocks.
-An envelope, too, is two float arrays, which the exporters turn into Python
-floats a block at a time.
+A report holds the fold's columns, which the exporters turn into Python
+floats a block at a time; per-group objects are built only when asked for.
 """
 
 from __future__ import annotations
@@ -26,9 +26,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from itertools import chain
+from functools import cached_property
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -102,9 +104,9 @@ def _power(run: ScenarioRun, rows) -> np.ndarray:  # weights gathered per row
 def _places(run: ScenarioRun, group_of_record: np.ndarray, n: int
             ) -> tuple[np.ndarray, np.ndarray]:
     """Each group's count of (group, duration) slots, numbered in that order,
-    and the place in _fold's flat array of each finite row in a group, in
-    sample order: its slot plus its group, as each group's masses are followed
-    by its floor. The sort's row-sized arrays are freed on return."""
+    and the slot of each finite row in a group, in sample order, which is its
+    place in _fold's step columns. The sort's row-sized arrays are freed on
+    return."""
     duration = np.empty(np.count_nonzero(run.kind == FINITE))
     code = np.empty(len(duration), dtype=np.min_scalar_type(n))
     end = 0
@@ -125,62 +127,65 @@ def _places(run: ScenarioRun, group_of_record: np.ndarray, n: int
         first = np.empty(len(rows), dtype=bool)  # the rows that open a slot
         first[0] = last != (c[0], d[0])
         first[1:] = (c[1:] != c[:-1]) | (d[1:] != d[:-1])
-        place[rows] = np.cumsum(first) + (slots - 1) + c
+        place[rows] = np.cumsum(first) + (slots - 1)
         np.add.at(per_group, c[first], 1)
         slots, last = slots + np.count_nonzero(first), (c[-1], d[-1])
     return per_group, place
 
 
-def _fold(run: ScenarioRun, group_of_record: np.ndarray, n: int
-          ) -> tuple[list[Envelope], np.ndarray, np.ndarray, float]:
-    """The envelope, finite energy (Wh) and installed power (W) of each group
-    0..n-1 of one run, and the power of the rows in no group. group_of_record
-    holds each record's group, or -1 for none; failed rows are in none."""
+def _fold(run: ScenarioRun, group_of_record: np.ndarray, level: Level,
+          keys: tuple[str, ...]) -> AggregateReport:
+    """The report of one run over the groups of the sorted keys. group_of_record
+    holds each record's group, an index into keys, or -1 for none; failed rows
+    are in none, and the power of the other rows in none is excluded."""
     if (run.magnitude > 0).any() and (run.magnitude < 0).any():
         raise ValueError("outcomes mix demand-increase and demand-reduction services")
-    per_group, place = _places(run, group_of_record, n)
-    floor_at = np.cumsum(per_group) + np.arange(n)
-    starts = floor_at - per_group
+    per_group, place = _places(run, group_of_record, len(keys))
+    offsets = np.append(0, np.cumsum(per_group))
 
     # one pass in sample order; np.add.at adds in index order, as a loop would
-    flat, durations = np.zeros(int(per_group.sum()) + n), np.zeros(int(per_group.sum()) + n)
-    energy, installed, excluded, end = np.zeros(n), np.zeros(n), 0.0, 0
+    power, durations, excluded, end = np.zeros(offsets[-1]), np.zeros(offsets[-1]), 0.0, 0
+    summary = np.zeros((len(keys), len(_FIELDS)))
+    installed, magnitude, unbounded, energy = summary.T  # its columns, as views
     installed_of_record = run.samples.weight * (run.samples.hp_size * 1000.0)
     for rows in _blocks(len(run)):
-        rec, kind, power = run.samples.record[rows], run.kind[rows], _power(run, rows)
+        rec, kind, mass = run.samples.record[rows], run.kind[rows], _power(run, rows)
         group = group_of_record[rec]
         member = (kind != FAILED) & (group >= 0)
         np.add.at(installed, group[member], installed_of_record[rec[member]])
-        excluded = _ordered_sum(np.append(excluded, power[(kind != FAILED) & (group < 0)]))
-        unbounded = member & (kind == UNBOUNDED)
-        np.add.at(flat, floor_at[group[unbounded]], power[unbounded])
+        excluded = _ordered_sum(np.append(excluded, mass[(kind != FAILED) & (group < 0)]))
+        floor = member & (kind == UNBOUNDED)
+        np.add.at(unbounded, group[floor], mass[floor])
         finite = member & (kind == FINITE)
         m = np.count_nonzero(finite)
-        at, d, power = place[end:end + m], run.duration[rows][finite], power[finite]
+        at, d, mass = place[end:end + m], run.duration[rows][finite], mass[finite]
         end += m
-        np.add.at(flat, at, power)
+        np.add.at(power, at, mass)
         durations[at] = d  # every row of a slot has its duration
-        np.add.at(energy, group[finite], power * d / 3600.0)
+        np.add.at(energy, group[finite], mass * d / 3600.0)
 
     # power at each duration: the floor plus the mass at it and at every
-    # longer duration, added from the longest duration down. Read backwards,
-    # a group runs [floor, mass at its longest duration, ..., at its
-    # shortest], so its sums are one running sum in place on a reversed view
-    # (np.add.accumulate, what np.cumsum calls, without its per-call overhead)
-    backwards = flat[::-1]
-    for a, b in zip((len(flat) - 1 - floor_at).tolist(), (len(flat) - starts).tolist()):
+    # longer duration, added from the longest duration down. Once the floor is
+    # in the mass at its group's longest duration (m + floor, the float floor
+    # + m is), a group read backwards is one running sum in place on a reversed
+    # view (np.add.accumulate, what np.cumsum calls, without its overhead)
+    filled = per_group > 0  # the groups with a finite duration
+    power[offsets[1:][filled] - 1] += unbounded[filled]
+    backwards = power[::-1]
+    for a, b in zip((len(power) - offsets[1:]).tolist(), (len(power) - offsets[:-1]).tolist()):
         sums = backwards[a:b]
         np.add.accumulate(sums, out=sums)
-    envelopes = [Envelope(durations[a:b], flat[a:b], total, floor) for a, b, total, floor
-                 in zip(starts.tolist(), floor_at.tolist(),
-                        flat[starts].tolist(), flat[floor_at].tolist())]
-    return envelopes, energy, installed, excluded
+    durations.flags.writeable = power.flags.writeable = False
+    magnitude[:] = unbounded  # the power at t = 0: the first step, else the floor
+    magnitude[filled] = power[offsets[:-1][filled]]
+    return AggregateReport(level, keys, offsets, durations, power, summary,
+                           *map(_ordered_sum, summary.T), excluded_power_w=excluded)
 
 
 def build_envelope(run: ScenarioRun) -> Envelope:
     """Exact step envelope of one direction's outcomes."""
-    (envelope,), *_ = _fold(run, np.zeros(len(run.samples.weight), np.int32), 1)
-    return envelope
+    report = _fold(run, np.zeros(len(run.samples.weight), np.int32), Level.NATIONAL, ("national",))
+    return report.groups["national"].envelope
 
 
 @dataclass(frozen=True)
@@ -198,11 +203,11 @@ class FiniteEnergy:
 
 def finite_energy(run: ScenarioRun) -> FiniteEnergy:
     """Sum of weight * |magnitude| * duration over finite samples, in Wh."""
-    (envelope,), (energy,), *_ = _fold(run, np.zeros(len(run.samples.weight), np.int32), 1)
+    report = _fold(run, np.zeros(len(run.samples.weight), np.int32), Level.NATIONAL, ("national",))
     return FiniteEnergy(
-        energy_wh=float(energy),
+        energy_wh=report.total_finite_energy_wh,
         unbounded_count=int(np.count_nonzero(run.kind == UNBOUNDED)),
-        unbounded_power_w=envelope.unbounded_power,
+        unbounded_power_w=report.total_unbounded_w,
     )
 
 
@@ -238,16 +243,37 @@ class GroupStats:
         return self.envelope.unbounded_power
 
 
-@dataclass
+@dataclass(eq=False)
 class AggregateReport:
+    """The groups of one level as columns, their keys strictly increasing: group
+    g's steps are durations[offsets[g]:offsets[g + 1]] and power[...], both
+    read-only, and summary[g] holds its _FIELDS."""
+
     level: Level
-    groups: dict[str, GroupStats]
+    keys: tuple[str, ...]
+    offsets: np.ndarray
+    durations: np.ndarray
+    power: np.ndarray
+    summary: np.ndarray
     total_installed_thermal_w: float
     total_magnitude_at_zero_w: float
     total_unbounded_w: float
     total_finite_energy_wh: float
     unresolved_lsoas: tuple[str, ...] = ()
     excluded_power_w: float = 0.0
+
+    def __eq__(self, other):  # every field equal, the arrays and tuples element by element
+        return isinstance(other, AggregateReport) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    @cached_property
+    def groups(self) -> dict[str, GroupStats]:
+        """Each group's envelope and summary as objects, by key, built on first use."""
+        bounds = self.offsets.tolist()
+        return {key: GroupStats(Envelope(self.durations[a:b], self.power[a:b], magnitude, floor),
+                                installed, energy)
+                for key, a, b, (installed, magnitude, floor, energy)
+                in zip(self.keys, bounds, bounds[1:], self.summary.tolist())}
 
 
 def _lsoa_group_key(lsoa_id: str, regions: RegionTable, level: Level) -> str | None:
@@ -273,25 +299,13 @@ def rollup(run: ScenarioRun, regions: RegionTable, level: Level) -> AggregateRep
     used = np.bincount(samples.record[run.kind != FAILED], minlength=len(samples.lsoa_code)) > 0
     key_of = {code: _lsoa_group_key(samples.lsoa_ids[code], regions, level)
               for code in np.unique(samples.lsoa_code[used]).tolist()}
-    keys = sorted({key for key in key_of.values() if key is not None})
+    keys = tuple(sorted({key for key in key_of.values() if key is not None}))
     index = {key: g for g, key in enumerate(keys)}  # an LSOA with no key maps to -1
     group_of_lsoa = np.array([index.get(key_of.get(code), -1)
                               for code in range(len(samples.lsoa_ids))], dtype=np.int32)
-    envelopes, energy, installed, excluded = _fold(run, group_of_lsoa[samples.lsoa_code],
-                                                   len(keys))
-    groups = {key: GroupStats(envelope, w, wh)  # installed W, finite energy Wh
-              for key, envelope, w, wh in zip(keys, envelopes, installed.tolist(), energy.tolist())}
-    return AggregateReport(
-        level=level,
-        groups=groups,
-        total_installed_thermal_w=_ordered_sum(installed),
-        total_magnitude_at_zero_w=_ordered_sum(np.array([e.total_power for e in envelopes])),
-        total_unbounded_w=_ordered_sum(np.array([e.unbounded_power for e in envelopes])),
-        total_finite_energy_wh=_ordered_sum(energy),
-        unresolved_lsoas=tuple(sorted(samples.lsoa_ids[code]
-                                      for code, key in key_of.items() if key is None)),
-        excluded_power_w=excluded,
-    )
+    report = _fold(run, group_of_lsoa[samples.lsoa_code], level, keys)
+    return replace(report, unresolved_lsoas=tuple(sorted(
+        samples.lsoa_ids[code] for code, key in key_of.items() if key is None)))
 
 
 class ExportFormat(Enum):
@@ -303,10 +317,6 @@ _TOTAL_KEY = "__total__"
 # The summary of a group and of the totals: summary.csv's columns and
 # report.json's keys, in the order of AggregateReport's totals.
 _FIELDS = ("installed_w", "magnitude_at_0_w", "unbounded_w", "finite_energy_wh")
-
-
-def _fields(g: GroupStats) -> tuple[float, float, float, float]:
-    return g.installed_thermal_w, g.magnitude_at_zero_w, g.unbounded_power_w, g.finite_energy_wh
 
 
 def _totals(report: AggregateReport) -> tuple[float, float, float, float]:
@@ -340,19 +350,19 @@ def _export_csv(report: AggregateReport, out_dir: Path) -> list[Path]:
 
     with open(envelope_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("key,duration_s,power_w\n")
-        for key in sorted(report.groups):
+        for g, key in enumerate(report.keys):
             # the key cell as csv quotes it in a row of several fields; the
             # terminator stays "\n", which decides whether a newline is quoted
             cell = io.StringIO()
             csv.writer(cell, lineterminator="\n").writerow([key, ""])
             prefix = cell.getvalue()[:-1]
-            fh.writelines(f"{prefix}{d!r},{p!r}\n" for d, p in _pairs(report.groups[key].envelope))
+            fh.writelines(f"{prefix}{d!r},{p!r}\n" for d, p in _pairs(report, g))
 
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["level", "key", *_FIELDS, "excluded_power_w"])
-        for key in sorted(report.groups):  # excluded power belongs to no group
-            writer.writerow([report.level.value, key, *map(repr, _fields(report.groups[key])), ""])
+        for key, row in zip(report.keys, report.summary.tolist()):  # no group has excluded power
+            writer.writerow([report.level.value, key, *map(repr, row), ""])
         writer.writerow([report.level.value, _TOTAL_KEY, *map(repr, _totals(report)),
                          repr(report.excluded_power_w)])
 
@@ -378,8 +388,8 @@ _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _export_json(report: AggregateReport, path: Path) -> Path:
     doc = {
         "level": report.level.value,
-        "groups": {key: dict(zip(_FIELDS, _fields(g)), breakpoints="@")
-                   for key, g in report.groups.items()},
+        "groups": {key: dict(zip(_FIELDS, row), breakpoints="@")
+                   for key, row in zip(report.keys, report.summary.tolist())},
         "totals": dict(zip(_FIELDS, _totals(report))),
         "unresolved_lsoas": list(report.unresolved_lsoas),
         "excluded_power_w": report.excluded_power_w,
@@ -389,18 +399,19 @@ def _export_json(report: AggregateReport, path: Path) -> Path:
     head, *tails = json.dumps(doc, sort_keys=True, indent=2).split(_BREAKPOINTS_SLOT)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head)
-        for key, tail in zip(sorted(report.groups), tails):
+        for g, tail in enumerate(tails):  # json sorts the keys as report.keys are
             fh.write('"breakpoints": ')
-            fh.writelines(_json_pairs(_pairs(report.groups[key].envelope), indent=6))
+            fh.writelines(_json_pairs(_pairs(report, g), indent=6))
             fh.write(tail)
         fh.write("\n")
     return path
 
 
-def _pairs(envelope: Envelope) -> Iterator[tuple[float, float]]:
-    """The breakpoints as pairs of Python floats, converted a block of rows at
-    a time, so that a long envelope is never held whole as Python objects."""
-    d, p = envelope.durations, envelope.power
+def _pairs(report: AggregateReport, g: int) -> Iterator[tuple[float, float]]:
+    """Group g's breakpoints as pairs of Python floats, converted a block of
+    rows at a time, so that a long envelope is never held whole as Python objects."""
+    a, b = report.offsets[g:g + 2]
+    d, p = report.durations[a:b], report.power[a:b]
     return chain.from_iterable(zip(d[rows].tolist(), p[rows].tolist())
                                for rows in _blocks(len(d)))
 
@@ -428,50 +439,62 @@ def load_report(path_or_dir: str | Path, fmt: ExportFormat) -> AggregateReport:
     return _load_csv(path)
 
 
-def _group(fields, durations, power) -> GroupStats:
-    """A group from its summary, keyed by _FIELDS, and its envelope columns."""
-    installed, magnitude, unbounded, energy = (float(fields[name]) for name in _FIELDS)
-    return GroupStats(Envelope(durations, power, magnitude, unbounded), installed, energy)
+def _loaded(source: Path, level: Level, keys: list[str], counts, steps, groups, totals,
+            **rest) -> AggregateReport:
+    """A report read from source, its values kept as written: group keys[g] has
+    the _FIELDS of groups[g] and the next counts[g] (duration, power) pairs of steps."""
+    for a, b in zip(keys, keys[1:]):
+        if not a < b:
+            raise DataValidationError(f"{source}: group {b!r} follows {a!r}; keys must rise")
+    offsets = np.append(0, np.cumsum(counts, dtype=np.intp))
+    durations, power = np.asarray(steps, dtype=np.float64).reshape(offsets[-1], 2).T
+    durations.flags.writeable = power.flags.writeable = False
+    summary = np.array([[float(g[name]) for name in _FIELDS] for g in groups]).reshape(-1, 4)
+    return AggregateReport(level, tuple(keys), offsets, durations, power, summary,
+                           *(float(totals[name]) for name in _FIELDS), **rest)
 
 
 def _load_json(path: Path) -> AggregateReport:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    groups = {}
-    for key, g in doc["groups"].items():
-        pairs = np.array(g["breakpoints"], dtype=np.float64).reshape(len(g["breakpoints"]), 2)
-        groups[key] = _group(g, pairs[:, 0], pairs[:, 1])
-    return AggregateReport(Level(doc["level"]), groups,
-                           *(float(doc["totals"][name]) for name in _FIELDS),
-                           unresolved_lsoas=tuple(doc["unresolved_lsoas"]),
-                           excluded_power_w=float(doc["excluded_power_w"]))
+    groups = doc["groups"].values()
+    return _loaded(path, Level(doc["level"]), list(doc["groups"]),
+                   [len(g["breakpoints"]) for g in groups],
+                   list(chain.from_iterable(g["breakpoints"] for g in groups)), groups,
+                   doc["totals"], unresolved_lsoas=tuple(doc["unresolved_lsoas"]),
+                   excluded_power_w=float(doc["excluded_power_w"]))
 
 
 def _load_csv(out_dir: Path) -> AggregateReport:
-    columns_by_key: dict[str, tuple[list[float], list[float]]] = {}
-    with open(out_dir / "envelope.csv", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            durations, power = columns_by_key.setdefault(row["key"], ([], []))
-            durations.append(float(row["duration_s"]))
-            power.append(float(row["power_w"]))
-
-    groups: dict[str, GroupStats] = {}
-    level: Level | None = None
-    totals: dict[str, str] | None = None
     with open(out_dir / "summary.csv", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            level = Level(row["level"])
-            if row["key"] == _TOTAL_KEY:
-                totals = row
-            elif row["excluded_power_w"]:
-                raise DataValidationError(
-                    f"{out_dir}: summary.csv group {row['key']!r} has excluded_power_w "
-                    f"{row['excluded_power_w']!r}; only the {_TOTAL_KEY} row carries it"
-                )
-            else:
-                groups[row["key"]] = _group(row, *columns_by_key.get(row["key"], ([], [])))
-    if level is None or totals is None:
-        raise DataValidationError(f"{out_dir}: summary.csv is empty or lacks a total row")
+        rows = list(csv.DictReader(fh))
+    if not rows or rows[-1]["key"] != _TOTAL_KEY:
+        raise DataValidationError(f"{out_dir / 'summary.csv'}: empty, or not ending in a total row")
+    *groups, totals = rows
+    if len({row["level"] for row in rows}) > 1:
+        raise DataValidationError(f"{out_dir / 'summary.csv'}: rows of more than one level")
+    for row in groups:
+        if row["excluded_power_w"]:
+            raise DataValidationError(
+                f"{out_dir}: summary.csv group {row['key']!r} has excluded_power_w "
+                f"{row['excluded_power_w']!r}; only the {_TOTAL_KEY} row carries it"
+            )
+    keys = [row["key"] for row in groups]
+
+    steps, runs = array("d"), []  # every step in file order; each key's run of rows and its start
+    with open(out_dir / "envelope.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)  # the header
+        for key, rows_of_key in groupby(reader, key=lambda row: row[0]):
+            runs.append((key, len(steps) // 2))
+            steps.extend(float(x) for _, d, p in rows_of_key for x in (d, p))
+    index = {key: g for g, key in enumerate(keys)}
+    at = [index.get(key, -1) for key, _ in runs]
+    if any(a >= b for a, b in zip([-1, *at], at)):  # a key unknown, repeated or out of order
+        raise DataValidationError(f"{out_dir / 'envelope.csv'}: keys are not summary.csv's, "
+                                  f"in its order, with each group's rows together")
+    counts = np.zeros(len(keys), dtype=np.intp)
+    counts[at] = np.diff([start for _, start in runs] + [len(steps) // 2])
 
     unresolved: tuple[str, ...] = ()
     unresolved_path = out_dir / "unresolved.csv"
@@ -479,9 +502,9 @@ def _load_csv(out_dir: Path) -> AggregateReport:
         with open(unresolved_path, newline="", encoding="utf-8") as fh:
             unresolved = tuple(row["lsoa_id"] for row in csv.DictReader(fh))
 
-    return AggregateReport(level, groups, *(float(totals[name]) for name in _FIELDS),
-                           unresolved_lsoas=unresolved,
-                           excluded_power_w=float(totals["excluded_power_w"]))
+    return _loaded(out_dir / "summary.csv", Level(totals["level"]), keys, counts, steps, groups,
+                   totals, unresolved_lsoas=unresolved,
+                   excluded_power_w=float(totals["excluded_power_w"]))
 
 
 def export_plot_grid(

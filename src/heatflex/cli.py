@@ -195,7 +195,7 @@ def _run_jobs(args, jobs: list[tuple[str, scenario.ScenarioSpec]]) -> int:
             done(f"{len(run) - len(run.errors)} outcomes")
         with _stage(args.verbose, "aggregate") as done:
             report = aggregate.rollup(run, regions, level)
-            done(f"{len(report.groups)} group(s)")
+            done(f"{len(report.keys)} group(s)")
         with _stage(args.verbose, "export"):
             aggregate.export_report(report, fmt, Path(args.out) / subdir)
         if run.errors:

@@ -85,7 +85,7 @@ def load_region_table(
 
     regions: dict[str, RegionInfo] = {}
     with open(regions_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a missing cell reads ""
         _require_columns(reader.fieldnames, ("region", "hdd", "design_temp_c"), regions_path)
         for row_no, row in enumerate(reader, start=1):
             name = row["region"].strip()
@@ -114,7 +114,7 @@ def load_region_table(
 
 def _load_lookup(table: RegionTable, path: str | Path) -> None:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a missing cell reads ""
         _require_columns(reader.fieldnames, ("lsoa_id", "region", "local_authority"), path)
         for row_no, row in enumerate(reader, start=1):
             lsoa = row["lsoa_id"].strip()

@@ -53,6 +53,20 @@ def envelope_of(breakpoints, total_power, unbounded_power):
                     total_power, unbounded_power)
 
 
+def report_of(level, groups, *totals, **rest):
+    """An AggregateReport holding these GroupStats by key, laid out as its
+    columns: the groups in key order, their steps end to end."""
+    keys = sorted(groups)
+    envelopes = [groups[key].envelope for key in keys]
+    offsets = np.cumsum([0, *(len(e.durations) for e in envelopes)])
+    summary = np.array([[g.installed_thermal_w, g.magnitude_at_zero_w, g.unbounded_power_w,
+                         g.finite_energy_wh] for g in map(groups.get, keys)]).reshape(-1, 4)
+    return AggregateReport(level, tuple(keys), offsets,
+                           np.concatenate([np.empty(0), *(e.durations for e in envelopes)]),
+                           np.concatenate([np.empty(0), *(e.power for e in envelopes)]),
+                           summary, *totals, **rest)
+
+
 def test_envelope_two_sample_example():
     outcomes = [
         (make_sample(weight=1.0), outcome(-100.0, Duration.finite(3600.0))),
@@ -301,8 +315,8 @@ def reference_rollup(run, regions, level):
         for j, value in enumerate((installed, envelope.total_power,
                                    envelope.unbounded_power, energy)):
             totals[j] += value
-    return AggregateReport(
-        level=level, groups=groups,
+    return report_of(
+        level, groups,
         total_installed_thermal_w=totals[0], total_magnitude_at_zero_w=totals[1],
         total_unbounded_w=totals[2], total_finite_energy_wh=totals[3],
         unresolved_lsoas=tuple(sorted(unresolved)),
@@ -493,6 +507,83 @@ def test_excluded_power_only_on_total_row(tmp_path):
         load_report(tmp_path, ExportFormat.CSV)
 
 
+def lsoa_report():
+    """Three LSOA groups: E01000001 with two steps, E01000002 with one and
+    E01000003 with none (its only sample is unbounded)."""
+    table, outcomes = la_fixture()
+    extra = (make_sample(weight=1.0, lsoa_id="E01000001"), outcome(-30.0, Duration.finite(900.0)))
+    return rollup(make_run(outcomes + [extra]), table, Level.LSOA)
+
+
+def edit_lines(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("envelope.csv", lambda lines: [*lines, "E01000009,60.0,1.0"], "keys are not summary"),
+    ("summary.csv", lambda lines: [*lines[:2], *lines[1:]],
+     "group 'E01000001' follows 'E01000001'"),
+    ("summary.csv", lambda lines: [lines[0], "la" + lines[1][len("lsoa"):], *lines[2:]],
+     "rows of more than one level"),
+    ("summary.csv", lambda lines: [lines[0], lines[-1], *lines[1:-1]], "not ending in a total row"),
+    ("envelope.csv", lambda lines: [lines[0], lines[3], lines[1], lines[2]],
+     "keys are not summary"),
+    ("envelope.csv", lambda lines: [lines[0], lines[1], lines[3], lines[2]],
+     "keys are not summary"),
+], ids=["envelope key with no summary row", "repeated summary key", "two levels",
+        "total row first", "envelope rows out of key order", "a group's envelope rows apart"])
+def test_csv_load_refuses_a_malformed_export(tmp_path, name, edit, message):
+    # the loader lays the steps out in summary.csv's key order, so it refuses
+    # a file whose keys do not strictly increase, or whose envelope rows are
+    # not the summary keys in that order, each group's rows together; it also
+    # refuses a summary of two levels, or one that does not end in its total
+    report = lsoa_report()
+    export_report(report, ExportFormat.CSV, tmp_path)
+    assert load_report(tmp_path, ExportFormat.CSV) == report
+    assert [line.split(",")[0] for line in
+            (tmp_path / "envelope.csv").read_text(encoding="utf-8").splitlines()] == [
+        "key", "E01000001", "E01000001", "E01000002"]
+    edit_lines(tmp_path / name, edit)
+    with pytest.raises(DataValidationError) as excinfo:
+        load_report(tmp_path, ExportFormat.CSV)
+    assert str(excinfo.value).startswith(f"{tmp_path / name}: ")
+    assert message in str(excinfo.value)
+
+
+def test_json_load_refuses_groups_out_of_key_order(tmp_path):
+    report = lsoa_report()
+    path = export_report(report, ExportFormat.JSON, tmp_path)[0]
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["groups"] = dict(reversed(doc["groups"].items()))
+    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    with pytest.raises(DataValidationError,
+                       match=f"{path}: group 'E01000002' follows 'E01000003'"):
+        load_report(tmp_path, ExportFormat.JSON)
+
+
+def test_load_keeps_the_summary_as_written(tmp_path):
+    # a raised first step must not carry into the group's power at zero
+    # duration: the loaders read it from the summary, never from the steps,
+    # which is how a check can see the two disagree
+    report = lsoa_report()
+    export_report(report, ExportFormat.CSV, tmp_path / "csv")
+    edit_lines(tmp_path / "csv" / "envelope.csv", lambda lines: [
+        lines[0], "E01000001,600.0," + repr(float(lines[1].split(",")[2]) + 1.0), *lines[2:]])
+    path = export_report(report, ExportFormat.JSON, tmp_path / "json")[0]
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["groups"]["E01000001"]["breakpoints"][0][1] += 1.0
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2), encoding="utf-8")
+
+    written = report.groups["E01000001"]
+    assert written.magnitude_at_zero_w == written.envelope.power[0] == 230.0
+    for fmt, where in ((ExportFormat.CSV, tmp_path / "csv"), (ExportFormat.JSON, path)):
+        loaded = load_report(where, fmt).groups["E01000001"]
+        assert loaded.magnitude_at_zero_w == 230.0
+        assert loaded.envelope.power[0] == 231.0
+        assert loaded.magnitude_at_zero_w != loaded.envelope.power[0]
+
+
 def test_total_unbounded_power_is_sum_of_groups(tmp_path, small_stock):
     # a demand-increase run at 0 C leaves some heat pumps unable to reach
     # the comfort ceiling: their groups carry unbounded power
@@ -593,7 +684,7 @@ def test_json_export_writes_what_json_module_writes(tmp_path):
         'quote " and breakpoints': group([(1.0, float("inf")), (2.0, float("nan"))], 0.0),
         "breakpoints": group([(0.1, 0.2)], 0.0),
     }
-    report = AggregateReport(Level.LSOA, groups, 6.0, 7.0, 4.5, 0.4,
+    report = report_of(Level.LSOA, groups, 6.0, 7.0, 4.5, 0.4,
                              unresolved_lsoas=("E01999999",), excluded_power_w=3.25)
     export_report(report, ExportFormat.JSON, tmp_path)
     assert (tmp_path / "report.json").read_text(encoding="utf-8") == json_module_report(report)
@@ -610,7 +701,7 @@ def test_csv_envelope_writes_what_csv_writer_writes(tmp_path):
             " leading space", "", "\"", "tab\tkey"]
     groups = {key: group(breakpoints[:i % 4 + 1]) for i, key in enumerate(keys)}
     groups["no breakpoints"] = group([])
-    report = AggregateReport(Level.LSOA, groups, 6.0, 7.0, 4.5, 0.4)
+    report = report_of(Level.LSOA, groups, 6.0, 7.0, 4.5, 0.4)
     export_report(report, ExportFormat.CSV, tmp_path)
     assert (tmp_path / "envelope.csv").read_bytes() == csv_writer_envelope(
         report, tmp_path / "reference.csv")
@@ -625,7 +716,7 @@ def test_exports_cross_block_boundaries(tmp_path):
     power = np.cumsum(rng.random(150_001))[::-1] + 0.25
     groups = {"long": GroupStats(Envelope(durations, power, float(power[0]), 0.25), 9.5, 1.25),
               "empty": GroupStats(Envelope([], [], 3.0, 3.0), 4.0, 0.0)}
-    report = AggregateReport(Level.LSOA, groups, 13.5, float(power[0]) + 3.0, 3.25, 1.25)
+    report = report_of(Level.LSOA, groups, 13.5, float(power[0]) + 3.0, 3.25, 1.25)
 
     export_report(report, ExportFormat.CSV, tmp_path / "csv")
     assert (tmp_path / "csv" / "envelope.csv").read_bytes() == csv_writer_envelope(
@@ -647,7 +738,7 @@ def test_exports_equal_across_block_sizes(tmp_path, monkeypatch):
               "three": GroupStats(envelope_of([(1e-300, 3.0), (1.5, 2.0), (2.5, 1.0)],
                                               3.0, 0.5), 4.0, 0.5),
               "empty": GroupStats(Envelope([], [], 3.0, 3.0), 4.0, 0.0)}
-    report = AggregateReport(Level.LSOA, groups, 17.5, float(power[0]) + 6.0, 3.5, 1.75,
+    report = report_of(Level.LSOA, groups, 17.5, float(power[0]) + 6.0, 3.5, 1.75,
                              unresolved_lsoas=("E01999999",), excluded_power_w=2.5)
     whole = {p.name: p.read_bytes() for fmt in ExportFormat
              for p in export_report(report, fmt, tmp_path / "whole")}

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from heatflex import default_regions_path, load_stock
+from heatflex import aggregate, default_regions_path, load_stock
 from heatflex.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 SCENARIO_FIXED = """\
@@ -209,8 +209,8 @@ def _export_digests(runner) -> dict[str, dict[str, str]]:
     """Run each benchmark command line on a 2,000-dwelling synth stock in the
     working directory, then an LA-level flex with failed samples and an
     unresolved LSOA (its lookup row has a blank local authority) on a
-    6,000-dwelling one; return the SHA-256 of every exported file, by run and
-    path."""
+    6,000-dwelling one, exported as CSV and as JSON; return the SHA-256 of
+    every exported file, by run and path."""
     def digests_of(argv):
         assert main(argv) == EXIT_OK, argv
         found = {
@@ -231,9 +231,10 @@ def _export_digests(runner) -> dict[str, dict[str, str]]:
                  "--lookup-out", "mixed_lookup.csv"]) == EXIT_OK
     Path("hot.ini").write_text(SCENARIO_HOT_TAIL, encoding="utf-8")
     _blank_local_authority("mixed_lookup.csv", load_stock("mixed.csv").lsoa_ids[0])
-    digests["flex_la_failed_unresolved"] = digests_of([
-        "flex", "--stock", "mixed.csv", "--lookup", "mixed_lookup.csv", "--scenario",
-        "hot.ini", "--direction", "pos", "--level", "la", "--expansion", "2", "--out", "out"])
+    argv = ["flex", "--stock", "mixed.csv", "--lookup", "mixed_lookup.csv", "--scenario",
+            "hot.ini", "--direction", "pos", "--level", "la", "--expansion", "2", "--out", "out"]
+    digests["flex_la_failed_unresolved"] = digests_of(argv)
+    digests["flex_la_failed_unresolved_json"] = digests_of([*argv, "--format", "json"])
     return digests
 
 
@@ -242,7 +243,8 @@ def _export_digests(runner) -> dict[str, dict[str, str]]:
 # durations moved to the log1p form and group rows of summary.csv stopped
 # writing excluded_power_w; the vectorised draws before that left every
 # digest unchanged, and flex_la_failed_unresolved was added later without
-# re-pinning the others. A change that alters any exported byte fails here.
+# re-pinning the others, as was its JSON export, the one report.json here
+# with more than one group. A change that alters any exported byte fails here.
 GOLDEN_EXPORTS = {
     "flex_la_failed_unresolved": {
         "envelope.csv":
@@ -251,6 +253,10 @@ GOLDEN_EXPORTS = {
             "a4f193b42123c6ee325370c6de6f59b9266d7a40e59a6f037f748b2644ca5846",
         "unresolved.csv":
             "5ec6185b31b6ab749f201a3b2df8dc8014adc1abd5074fac9826037b33b03bee",
+    },
+    "flex_la_failed_unresolved_json": {
+        "report.json":
+            "487df2082b260e3f198f4838fb6a16d97d329380bc9216c5553d6aafbb7fcc11",
     },
     "flex_lsoa_fixed": {
         "envelope.csv":
@@ -421,6 +427,33 @@ def test_non_finite_region_exits_2_naming_file_and_row(workspace, capsys, column
     assert code == EXIT_DATA
     assert capsys.readouterr().err.splitlines() == [
         f"heatflex: data error: {regions}: row 3: non-finite cell"]
+
+
+@pytest.mark.parametrize("command, runs", [
+    (["flex"], 1),
+    (["sweep", "--axis", "outdoor", "--values=0,5"], 2),
+    (["retrofit-compare"], 2),
+], ids=["flex", "sweep", "retrofit-compare"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_builds_no_per_group_objects(workspace, monkeypatch, capsys, command, runs, fmt):
+    # the rollup and both exports work on the report's columns; an Envelope
+    # or GroupStats per group is built only for a caller that asks for groups
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-group object built")
+
+    monkeypatch.setattr(aggregate.Envelope, "__post_init__", refuse)
+    monkeypatch.setattr(aggregate.GroupStats, "__init__", refuse)
+    out = workspace / "out"
+    code = main([*command, "--stock", str(workspace / "stock.csv"),
+                 "--lookup", str(workspace / "stock_lookup.csv"),
+                 "--scenario", str(workspace / "scenario.ini"), "--direction", "neg",
+                 "--level", "lsoa", "--format", fmt, "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+    names = sorted(path.name for path in out.rglob("*.*"))
+    assert names == sorted({"csv": ["envelope.csv", "summary.csv"], "json": ["report.json"]}[fmt]
+                           * runs)
+    with pytest.raises(AssertionError, match="per-group object built"):
+        aggregate.load_report(next(out.rglob("*.*")).parent, aggregate.ExportFormat(fmt)).groups
 
 
 def test_retrofit_compare_flow(workspace):

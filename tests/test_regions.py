@@ -5,10 +5,12 @@ import pytest
 from heatflex import (
     DanglingRegionError,
     DataValidationError,
+    ParseError,
     SchemaError,
     UnresolvedLsoaError,
     load_region_table,
 )
+from heatflex.cli import EXIT_DATA, EXIT_OK, main
 
 # The ten regions of England and Wales: heating degree days (base 15.5 C)
 # and outdoor design temperature, transcribed independently of the shipped
@@ -119,3 +121,49 @@ def test_regions_file_validation(tmp_path):
     missing_col.write_text("region,hdd\nNowhere,2000\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="design_temp_c"):
         load_region_table(missing_col)
+
+
+def test_short_regions_row_is_a_non_numeric_cell(tmp_path):
+    # a row that stops before design_temp_c reads that cell as "", which is
+    # not a number, rather than as None
+    regions = tmp_path / "regions.csv"
+    regions.write_text("region,hdd,design_temp_c\nLondon,1800\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"{regions}: row 1: non-numeric cell"):
+        load_region_table(regions)
+
+
+def test_short_lookup_rows(tmp_path):
+    # a lookup row that stops before local_authority leaves its LSOA in no
+    # local authority, as a blank cell does; one that stops before region
+    # names the region "", which the regions table does not have
+    lookup = tmp_path / "lookup.csv"
+    lookup.write_text("lsoa_id,region,local_authority\nE01000001,London\n", encoding="utf-8")
+    table = load_region_table(lsoa_lookup_path=lookup)
+    assert table.region_of("E01000001") == "London"
+    assert table.local_authority_of("E01000001") is None
+
+    lookup.write_text("lsoa_id,region,local_authority\nE01000001\n", encoding="utf-8")
+    with pytest.raises(DanglingRegionError, match=f"{lookup}: row 1: region '' not present"):
+        load_region_table(lsoa_lookup_path=lookup)
+
+
+@pytest.mark.parametrize("regions_text, lookup_row, message", [
+    ("region,hdd,design_temp_c\nLondon,1800\n", None, "{regions}: row 1: non-numeric cell"),
+    (None, "E01000001", "{lookup}: row 1: region '' not present in the regions table"),
+])
+def test_short_rows_exit_2_from_the_cli(tmp_path, capsys, regions_text, lookup_row, message):
+    stock, lookup = tmp_path / "stock.csv", tmp_path / "stock_lookup.csv"
+    assert main(["synth", "--dwellings", "50", "--seed", "1", "--out", str(stock)]) == EXIT_OK
+    argv = ["derive", "--stock", str(stock), "--lookup", str(lookup), "--winsorize", "none",
+            "--out", str(tmp_path / "params.csv")]
+    regions = tmp_path / "regions.csv"
+    if regions_text is not None:
+        regions.write_text(regions_text, encoding="utf-8")
+        argv += ["--regions", str(regions)]
+    if lookup_row is not None:
+        lookup.write_text("lsoa_id,region,local_authority\n" + lookup_row + "\n",
+                          encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "heatflex: data error: " + message.format(regions=regions, lookup=lookup)]
