@@ -27,6 +27,7 @@ import io
 import json
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
@@ -151,9 +152,9 @@ def _fold(run: ScenarioRun, group_of_record: np.ndarray, level: Level,
     for rows in _blocks(len(run)):
         rec, kind, mass = run.samples.record[rows], run.kind[rows], _power(run, rows)
         group = group_of_record[rec]
-        member = (kind != FAILED) & (group >= 0)
+        member = (kind < FAILED) & (group >= 0)
         np.add.at(installed, group[member], installed_of_record[rec[member]])
-        excluded = _ordered_sum(np.append(excluded, mass[(kind != FAILED) & (group < 0)]))
+        excluded = _ordered_sum(np.append(excluded, mass[(kind < FAILED) & (group < 0)]))
         floor = member & (kind == UNBOUNDED)
         np.add.at(unbounded, group[floor], mass[floor])
         finite = member & (kind == FINITE)
@@ -296,7 +297,7 @@ def rollup(run: ScenarioRun, regions: RegionTable, level: Level) -> AggregateRep
     folded from one sort and one pass over the run, a block of rows at a time.
     """
     samples = run.samples
-    used = np.bincount(samples.record[run.kind != FAILED], minlength=len(samples.lsoa_code)) > 0
+    used = np.bincount(samples.record[run.kind < FAILED], minlength=len(samples.lsoa_code)) > 0
     key_of = {code: _lsoa_group_key(samples.lsoa_ids[code], regions, level)
               for code in np.unique(samples.lsoa_code[used]).tolist()}
     keys = tuple(sorted({key for key in key_of.values() if key is not None}))
@@ -439,6 +440,17 @@ def load_report(path_or_dir: str | Path, fmt: ExportFormat) -> AggregateReport:
     return _load_csv(path)
 
 
+@contextmanager
+def _malformed(source: Path):
+    """Raise a missing field or an unreadable value met in the body as a
+    DataValidationError that names source."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError) as exc:
+        raise DataValidationError(f"{source}: malformed export ({type(exc).__name__}: "
+                                  f"{exc})") from None
+
+
 def _loaded(source: Path, level: Level, keys: list[str], counts, steps, groups, totals,
             **rest) -> AggregateReport:
     """A report read from source, its values kept as written: group keys[g] has
@@ -455,14 +467,14 @@ def _loaded(source: Path, level: Level, keys: list[str], counts, steps, groups, 
 
 
 def _load_json(path: Path) -> AggregateReport:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, _malformed(path):
         doc = json.load(fh)
-    groups = doc["groups"].values()
-    return _loaded(path, Level(doc["level"]), list(doc["groups"]),
-                   [len(g["breakpoints"]) for g in groups],
-                   list(chain.from_iterable(g["breakpoints"] for g in groups)), groups,
-                   doc["totals"], unresolved_lsoas=tuple(doc["unresolved_lsoas"]),
-                   excluded_power_w=float(doc["excluded_power_w"]))
+        groups = doc["groups"].values()
+        return _loaded(path, Level(doc["level"]), list(doc["groups"]),
+                       [len(g["breakpoints"]) for g in groups],
+                       list(chain.from_iterable(g["breakpoints"] for g in groups)), groups,
+                       doc["totals"], unresolved_lsoas=tuple(doc["unresolved_lsoas"]),
+                       excluded_power_w=float(doc["excluded_power_w"]))
 
 
 def _load_csv(out_dir: Path) -> AggregateReport:
@@ -482,7 +494,8 @@ def _load_csv(out_dir: Path) -> AggregateReport:
     keys = [row["key"] for row in groups]
 
     steps, runs = array("d"), []  # every step in file order; each key's run of rows and its start
-    with open(out_dir / "envelope.csv", newline="", encoding="utf-8") as fh:
+    envelope = out_dir / "envelope.csv"
+    with open(envelope, newline="", encoding="utf-8") as fh, _malformed(envelope):
         reader = csv.reader(fh)
         next(reader, None)  # the header
         for key, rows_of_key in groupby(reader, key=lambda row: row[0]):
@@ -502,9 +515,10 @@ def _load_csv(out_dir: Path) -> AggregateReport:
         with open(unresolved_path, newline="", encoding="utf-8") as fh:
             unresolved = tuple(row["lsoa_id"] for row in csv.DictReader(fh))
 
-    return _loaded(out_dir / "summary.csv", Level(totals["level"]), keys, counts, steps, groups,
-                   totals, unresolved_lsoas=unresolved,
-                   excluded_power_w=float(totals["excluded_power_w"]))
+    with _malformed(out_dir / "summary.csv"):
+        return _loaded(out_dir / "summary.csv", Level(totals["level"]), keys, counts, steps,
+                       groups, totals, unresolved_lsoas=unresolved,
+                       excluded_power_w=float(totals["excluded_power_w"]))
 
 
 def export_plot_grid(

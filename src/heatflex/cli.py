@@ -22,7 +22,6 @@ import argparse
 import resource
 import sys
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -192,25 +191,25 @@ def _run_jobs(args, jobs: list[tuple[str, scenario.ScenarioSpec]]) -> int:
     for subdir, _ in jobs:
         with _stage(args.verbose, f"evaluate {subdir}".rstrip()) as done:
             run = next(runs)
-            done(f"{len(run) - len(run.errors)} outcomes")
+            failures = run.failures()
+            done(f"{len(run) - sum(rows for rows, _ in failures)} outcomes")
         with _stage(args.verbose, "aggregate") as done:
             report = aggregate.rollup(run, regions, level)
             done(f"{len(report.keys)} group(s)")
         with _stage(args.verbose, "export"):
             aggregate.export_report(report, fmt, Path(args.out) / subdir)
-        if run.errors:
-            _report_failures(run.errors)
+        if failures:
+            _report_failures(failures)
         del run, report  # free this run before the next one is evaluated
     return EXIT_OK
 
 
-def _report_failures(errors) -> None:
-    """One line with the failed count, then the count of each distinct reason."""
-    reasons = Counter(message for _, message in errors)
-    print(f"[heatflex] {len(errors)} sample(s) failed, "
-          f"{len(reasons)} distinct reason(s):", file=sys.stderr)
-    for message, count in reasons.most_common():
-        print(f"[heatflex]   {count} x {message}", file=sys.stderr)
+def _report_failures(failures: list[tuple[int, str]]) -> None:
+    """One line with the failed count, then each reason's count and rc's message for it."""
+    print(f"[heatflex] {sum(rows for rows, _ in failures)} sample(s) failed, "
+          f"{len(failures)} distinct reason(s):", file=sys.stderr)
+    for rows, message in failures:
+        print(f"[heatflex]   {rows} x {message}", file=sys.stderr)
 
 
 def _cmd_flex(args) -> int:

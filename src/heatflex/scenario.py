@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -346,7 +345,7 @@ def build_samples(
                        params.capacitance, params.hp_size, record, indoor)
 
 
-ZERO, FINITE, UNBOUNDED, FAILED = range(4)  # codes of ScenarioRun.kind
+ZERO, FINITE, UNBOUNDED, FAILED, FAILED_INDOOR = range(5)  # codes of ScenarioRun.kind
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,7 +354,8 @@ class ScenarioRun:
 
     magnitude is the signed electrical power in W (0 on zero and failed
     rows); duration is in seconds on finite rows, 0 on zero rows, inf on
-    unbounded rows and nan on failed rows; kind holds a code per row.
+    unbounded rows and nan on failed rows; kind holds a code per row, and a
+    failed row's code (FAILED or FAILED_INDOOR, so kind >= FAILED) is its reason.
     """
 
     samples: SampleTable
@@ -363,7 +363,7 @@ class ScenarioRun:
     direction: Direction
     magnitude: np.ndarray
     duration: np.ndarray
-    kind: np.ndarray  # int8: ZERO, FINITE, UNBOUNDED or FAILED
+    kind: np.ndarray  # int8: ZERO, FINITE, UNBOUNDED, FAILED or FAILED_INDOOR
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -373,11 +373,11 @@ class ScenarioRun:
         return replace(self, samples=self.samples[rows], magnitude=self.magnitude[rows],
                        duration=self.duration[rows], kind=self.kind[rows])
 
-    @cached_property
-    def errors(self) -> tuple[tuple[int, str], ...]:
-        """(row, rc's message) for every failed row, in row order."""
-        return tuple((i, _failure(self.samples, i, self.spec, self.direction))
-                     for i in np.flatnonzero(self.kind == FAILED).tolist())
+    def failures(self) -> list[tuple[int, str]]:
+        """(rows, rc's message for the first of them) per failure reason, in code order."""
+        masks = (self.kind == code for code in (FAILED, FAILED_INDOOR))  # one at a time
+        return [(int(np.count_nonzero(m)), _failure(self, int(m.argmax())))
+                for m in masks if m.any()]
 
 
 def run_scenario(
@@ -390,9 +390,9 @@ def run_scenario(
     durations take math.log1p per row because np.log1p can differ in the
     last place. A row rc would reject (a non-positive R, C or heat pump
     size, an indoor temperature outside [INDOOR_TEMP_MIN, INDOOR_TEMP_MAX]
-    or nan) is marked FAILED with rc's message instead of aborting the
-    run. Rows are independent, so running the parts of any partition and
-    concatenating gives the same run.
+    or nan) gets the code of the first check rc fails, FAILED or
+    FAILED_INDOOR, instead of aborting the run. Rows are independent, so
+    running the parts of any partition and concatenating gives the same run.
     """
     band, outdoor = spec.comfort_band, spec.outdoor_temp
     limit = band.high if direction is Direction.POSITIVE else band.low
@@ -407,8 +407,8 @@ def run_scenario(
             r = 1.0 / (samples.heat_loss[rec] * 1000.0)
             c = samples.capacitance[rec] * 1000.0
             p_max = samples.hp_size[rec] * 1000.0
-            failed = (r <= 0) | (c <= 0) | (p_max <= 0)
-            failed |= ~((INDOOR_TEMP_MIN <= indoor) & (indoor <= INDOOR_TEMP_MAX))
+            bad_params = (r <= 0) | (c <= 0) | (p_max <= 0)
+            failed = bad_params | ~((INDOOR_TEMP_MIN <= indoor) & (indoor <= INDOOR_TEMP_MAX))
             if direction is Direction.POSITIVE:
                 t_ss = outdoor + p_max * r
                 zero, unbounded = indoor >= limit, t_ss <= limit
@@ -416,7 +416,7 @@ def run_scenario(
                 t_ss = outdoor + 0.0 * r
                 zero, unbounded = indoor <= limit, t_ss >= limit
             k[:] = np.where(zero, ZERO, np.where(unbounded, UNBOUNDED, FINITE))
-            k[failed] = FAILED
+            k[failed] = np.where(bad_params[failed], FAILED, FAILED_INDOOR)  # rc's order
             finite = k == FINITE
             d[:] = np.where(k == UNBOUNDED, np.inf, 0.0)
             d[failed] = np.nan
@@ -430,17 +430,17 @@ def run_scenario(
     return ScenarioRun(samples, spec, direction, magnitude, duration, kind)
 
 
-def _failure(samples: SampleTable, i: int, spec: ScenarioSpec, direction: Direction) -> str:
+def _failure(run: ScenarioRun, i: int) -> str:
     """rc's message for a row the kernel marked failed."""
-    rec = samples.record[i]
+    samples, rec = run.samples, run.samples.record[i]
     try:
         dwelling = RcDwelling(
             resistance=1.0 / (float(samples.heat_loss[rec]) * 1000.0),
             capacitance=float(samples.capacitance[rec]) * 1000.0,
             hp_max_thermal=float(samples.hp_size[rec]) * 1000.0,
         )
-        evaluate(dwelling, float(samples.indoor_temp[i]), spec.outdoor_temp,
-                 spec.cop_curve, spec.comfort_band, direction)
+        evaluate(dwelling, float(samples.indoor_temp[i]), run.spec.outdoor_temp,
+                 run.spec.cop_curve, run.spec.comfort_band, run.direction)
     except DomainError as exc:
         return str(exc)
     raise AssertionError(f"sample {i} failed in run_scenario but not in rc.evaluate")

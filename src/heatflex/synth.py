@@ -65,6 +65,10 @@ def generate_stock(
 
     if lsoa_count is None:
         lsoa_count = max(1, n_dwellings // 600)
+    if lsoa_count < 1:
+        raise ValueError(f"lsoa_count must be >= 1, got {lsoa_count}")
+    if not region_names:
+        raise ValueError("region_names must name at least one region")
 
     categories = DwellingCategory.all()
     cat_weights = np.array(

@@ -135,7 +135,7 @@ def make_run(pairs: list[tuple[Sample, FlexOutcome]]) -> ScenarioRun:
 def outcome_at(run: ScenarioRun, i: int) -> FlexOutcome:
     """Row i of a run as the scalar rc.evaluate would return it."""
     code = int(run.kind[i])
-    assert code != FAILED
+    assert code < FAILED
     duration = (Duration.finite(float(run.duration[i])) if code == FINITE
                 else Duration.unbounded() if code == UNBOUNDED else Duration.zero())
     return FlexOutcome(magnitude_electric=float(run.magnitude[i]), duration=duration)
@@ -144,7 +144,7 @@ def outcome_at(run: ScenarioRun, i: int) -> FlexOutcome:
 def pairs_of(run: ScenarioRun) -> list[tuple[Sample, FlexOutcome]]:
     """(sample, outcome) for every row that did not fail, in row order."""
     samples = samples_of(run.samples)
-    return [(samples[i], outcome_at(run, i)) for i in np.flatnonzero(run.kind != FAILED)]
+    return [(samples[i], outcome_at(run, i)) for i in np.flatnonzero(run.kind < FAILED)]
 
 
 def concat_runs(head: ScenarioRun, tail: ScenarioRun) -> ScenarioRun:
@@ -166,14 +166,14 @@ def concat_runs(head: ScenarioRun, tail: ScenarioRun) -> ScenarioRun:
 
 def runs_equal(a: ScenarioRun, b: ScenarioRun) -> bool:
     """Same samples (each sample's LSOA, weight, parameters and indoor
-    temperature), equal outcome columns (nan equal to nan), same errors."""
+    temperature), equal outcome columns (nan equal to nan), same failures."""
     columns = [(column(a.samples, c), column(b.samples, c))
                for c in ("lsoa_code", *_FLOAT_COLUMNS)]
     columns += [(a.magnitude, b.magnitude), (a.duration, b.duration), (a.kind, b.kind)]
     return (
         a.samples.lsoa_ids == b.samples.lsoa_ids
         and all(np.array_equal(x, y, equal_nan=True) for x, y in columns)
-        and a.errors == b.errors
+        and a.failures() == b.failures()
     )
 
 

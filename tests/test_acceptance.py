@@ -418,6 +418,6 @@ def test_criterion_12_determinism_and_parallel(tmp_path, small_stock):
             head = run_scenario(samples[:split], spec, Direction.NEGATIVE)
             tail = run_scenario(samples[split:], spec, Direction.NEGATIVE)
             merged = concat_runs(head, tail)
-            assert runs_equal(merged, whole)  # outcomes and errors
-            assert head.errors + tuple((i + split, m) for i, m in tail.errors) == whole.errors
+            assert runs_equal(merged, whole)  # outcomes and failures
+            assert merged.failures() == whole.failures()
             assert build_envelope(merged) == build_envelope(whole)

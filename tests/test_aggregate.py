@@ -37,7 +37,7 @@ from heatflex import (
     run_stock_scenario,
 )
 from heatflex import scenario as scenario_module
-from heatflex.scenario import FAILED, FINITE, UNBOUNDED, ZERO
+from heatflex.scenario import FAILED, FAILED_INDOOR, FINITE, UNBOUNDED, ZERO
 from heatflex.synth import generate_stock
 
 from conftest import column, make_region_table, make_run, make_sample
@@ -290,7 +290,7 @@ def reference_rollup(run, regions, level):
     power = column(run.samples, "weight") * np.abs(run.magnitude)
     rows_of, unresolved, excluded = {}, set(), []
     for i, code in enumerate(column(run.samples, "lsoa_code").tolist()):
-        if run.kind[i] == FAILED:
+        if run.kind[i] >= FAILED:
             continue
         lsoa_id = run.samples.lsoa_ids[code]
         key = key_of(lsoa_id)
@@ -333,20 +333,22 @@ ORACLE_LSOAS = (*ORACLE_LOOKUP, "E01099999")
 
 @st.composite
 def oracle_runs(draw):
-    """Up to 400 rows of every kind over up to 60 records in the oracle LSOAs,
-    all in one direction; most finite durations come from a short list, so
-    durations repeat within and across groups."""
+    """Up to 400 rows of every kind, both failure codes among them, over up
+    to 60 records in the oracle LSOAs, all in one direction; most finite
+    durations come from a short list, so durations repeat within and across
+    groups."""
     n, records = draw(st.integers(0, 400)), draw(st.integers(1, 60))
     sign = draw(st.sampled_from([1.0, -1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = rng.choice(np.array([ZERO, FINITE, FINITE, UNBOUNDED, FAILED], dtype=np.int8), n)
+    kind = rng.choice(np.array([ZERO, FINITE, FINITE, UNBOUNDED, FAILED, FAILED_INDOOR],
+                               dtype=np.int8), n)
     magnitude = sign * rng.uniform(0.0, 5000.0, n)
-    magnitude[(kind == ZERO) | (kind == FAILED)] = 0.0
+    magnitude[(kind == ZERO) | (kind >= FAILED)] = 0.0
     duration = np.where(rng.random(n) < 0.7, rng.choice([60.0, 600.0, 3600.0], n),
                         rng.uniform(1.0, 1e5, n))
     duration[kind == UNBOUNDED] = np.inf
     duration[kind == ZERO] = 0.0
-    duration[kind == FAILED] = np.nan
+    duration[kind >= FAILED] = np.nan
     samples = SampleTable(ORACLE_LSOAS, rng.integers(0, len(ORACLE_LSOAS), records),
                           rng.uniform(0.01, 10.0, records), np.full(records, 0.2),
                           np.full(records, 25000.0), rng.uniform(0.5, 20.0, records),
@@ -398,7 +400,7 @@ def test_rollup_rows_on_both_sides_of_block_boundaries(monkeypatch):
     a, b, stray = 0, 1, ORACLE_LSOAS.index("E01099999")  # Wales/LA 0, London/LA 1, no lookup
     rows = [(FINITE, a, 600.0), (ZERO, b, 0.0), (FAILED, a, math.nan), (UNBOUNDED, b, math.inf),
             (FINITE, stray, 600.0), (FINITE, a, 600.0),
-            (FINITE, a, 600.0), (UNBOUNDED, stray, math.inf), (FAILED, b, math.nan),
+            (FINITE, a, 600.0), (UNBOUNDED, stray, math.inf), (FAILED_INDOOR, b, math.nan),
             (FINITE, b, 60.0), (FINITE, stray, 600.0), (FINITE, b, 600.0),
             (FINITE, b, 600.0)]
     kind, lsoa, duration = (np.array(c) for c in zip(*rows))
@@ -531,13 +533,21 @@ def edit_lines(path, edit):
      "keys are not summary"),
     ("envelope.csv", lambda lines: [lines[0], lines[1], lines[3], lines[2]],
      "keys are not summary"),
+    ("envelope.csv", lambda lines: [lines[0], "E01000001,600.0", *lines[2:]],
+     "malformed export (ValueError: not enough values to unpack"),
+    ("envelope.csv", lambda lines: [lines[0], "E01000001,600.0,x", *lines[2:]],
+     "malformed export (ValueError: could not convert string to float: 'x')"),
+    ("summary.csv", lambda lines: [lines[0], lines[1].replace("14400.0", "x"), *lines[2:]],
+     "malformed export (ValueError: could not convert string to float: 'x')"),
 ], ids=["envelope key with no summary row", "repeated summary key", "two levels",
-        "total row first", "envelope rows out of key order", "a group's envelope rows apart"])
+        "total row first", "envelope rows out of key order", "a group's envelope rows apart",
+        "envelope row of two cells", "non-numeric envelope cell", "non-numeric summary cell"])
 def test_csv_load_refuses_a_malformed_export(tmp_path, name, edit, message):
     # the loader lays the steps out in summary.csv's key order, so it refuses
     # a file whose keys do not strictly increase, or whose envelope rows are
     # not the summary keys in that order, each group's rows together; it also
-    # refuses a summary of two levels, or one that does not end in its total
+    # refuses a summary of two levels, or one that does not end in its total,
+    # and a row too short or a cell that is not a number
     report = lsoa_report()
     export_report(report, ExportFormat.CSV, tmp_path)
     assert load_report(tmp_path, ExportFormat.CSV) == report
@@ -560,6 +570,28 @@ def test_json_load_refuses_groups_out_of_key_order(tmp_path):
     with pytest.raises(DataValidationError,
                        match=f"{path}: group 'E01000002' follows 'E01000003'"):
         load_report(tmp_path, ExportFormat.JSON)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["groups"]["E01000001"]["breakpoints"][0].append(1.0),
+     "malformed export (ValueError: setting an array element with a sequence"),
+    (lambda doc: doc.pop("totals"), "malformed export (KeyError: 'totals')"),
+    (lambda doc: doc["totals"].update(installed_w="x"),
+     "malformed export (ValueError: could not convert string to float: 'x')"),
+], ids=["breakpoint of three numbers", "no totals", "non-numeric total"])
+def test_json_load_refuses_a_malformed_export(tmp_path, edit, message):
+    # a step that is not a pair, a missing field or a value that is not a
+    # number is refused as a data error that names the file
+    report = lsoa_report()
+    path = export_report(report, ExportFormat.JSON, tmp_path)[0]
+    assert load_report(tmp_path, ExportFormat.JSON) == report
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    with pytest.raises(DataValidationError) as excinfo:
+        load_report(tmp_path, ExportFormat.JSON)
+    assert str(excinfo.value).startswith(f"{path}: ")
+    assert message in str(excinfo.value)
 
 
 def test_load_keeps_the_summary_as_written(tmp_path):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from heatflex import aggregate, default_regions_path, load_stock
+from heatflex import aggregate, default_regions_path, load_stock, scenario
 from heatflex.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 SCENARIO_FIXED = """\
@@ -495,6 +495,40 @@ def test_failed_samples_counted_by_reason(workspace, capsys):
     assert all(counts) and len(counts) == int(header.group(2)) == 1
     assert sum(int(m.group(1)) for m in counts) == samples
     assert counts[0].group(2) == "indoor temperature 70.0 C outside plausible range [-50.0, 60.0]"
+
+
+def _flex_at_70c(workspace):
+    """Exit code of a flex run whose every sample starts at 70 C, outside rc's plausible range."""
+    scenario_path = workspace / "hot.ini"
+    scenario_path.write_text(SCENARIO_FIXED.replace("temp = 19.0", "temp = 70.0"),
+                             encoding="utf-8")
+    return main(["flex", "--stock", str(workspace / "stock.csv"),
+                 "--lookup", str(workspace / "stock_lookup.csv"), "--scenario", str(scenario_path),
+                 "--direction", "neg", "--out", str(workspace / "hot")])
+
+
+def test_failure_report_asks_rc_once_per_reason(workspace, monkeypatch, capsys):
+    # every sample of the 70 C run fails for one reason: the kernel's code
+    # counts them, and rc is asked for the message of that reason's first
+    # sample only, not once per failed sample
+    calls = []
+    evaluate = scenario.evaluate
+    monkeypatch.setattr(scenario, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
+    capsys.readouterr()
+    assert _flex_at_70c(workspace) == EXIT_OK
+    assert len(capsys.readouterr().err.splitlines()) == 2
+    assert len(calls) == 1
+
+
+def test_benchmark_reads_the_failed_count(workspace, capsys):
+    # perfbench/run.py counts failed samples with its FAILED_SAMPLES pattern
+    # on the CLI's stderr; were the header to drift, the benchmark's failed
+    # share would silently read 0
+    pattern = _load_benchmark_runner().FAILED_SAMPLES
+    capsys.readouterr()
+    assert _flex_at_70c(workspace) == EXIT_OK
+    samples = sum(1 for r in load_stock(workspace / "stock.csv") if not r.skippable)
+    assert pattern.findall(capsys.readouterr().err) == [str(samples)]
 
 
 def test_usage_errors_exit_1(workspace, capsys):

@@ -36,7 +36,7 @@ from heatflex import (
 )
 from heatflex import scenario
 from heatflex.normal import ndtr, ndtri
-from heatflex.scenario import FAILED
+from heatflex.scenario import FAILED, FAILED_INDOOR
 
 from conftest import (
     GAS_FLAT,
@@ -59,6 +59,29 @@ def spec_at(outdoor, indoor_model=None, **kw):
         indoor_model=indoor_model or FixedIndoor(19.0),
         **kw,
     )
+
+
+def rc_oracle(heat_loss, capacitance, hp_size, indoor, spec, direction):
+    """(None, rc.evaluate's outcome) for one row, or (reason code, rc's message)
+    when rc refuses it: FAILED if RcDwelling raises, FAILED_INDOOR if evaluate does."""
+    try:
+        dwelling = RcDwelling(resistance=1.0 / (heat_loss * 1000.0),
+                              capacitance=capacitance * 1000.0,
+                              hp_max_thermal=hp_size * 1000.0)
+    except DomainError as exc:
+        return FAILED, str(exc)
+    try:
+        return None, evaluate(dwelling, indoor, spec.outdoor_temp, spec.cop_curve,
+                              spec.comfort_band, direction)
+    except DomainError as exc:
+        return FAILED_INDOOR, str(exc)
+
+
+def failures_of(errors):
+    """ScenarioRun.failures() from (row, code, message) per failed row in row
+    order: per code, in code order, its row count and its first row's message."""
+    return [(len(messages), messages[0]) for code in (FAILED, FAILED_INDOOR)
+            if (messages := [message for _, c, message in errors if c == code])]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +372,7 @@ def test_run_scenario_deterministic(small_stock):
     a = run_stock_scenario(records, table, spec, Direction.NEGATIVE)
     b = run_stock_scenario(records, table, spec, Direction.NEGATIVE)
     assert runs_equal(a, b)
-    assert not a.errors
+    assert a.failures() == []
 
 
 def test_parallel_equals_serial(small_stock):
@@ -365,8 +388,8 @@ def test_parallel_equals_serial(small_stock):
         head = run_scenario(samples[:split], spec, Direction.POSITIVE)
         tail = run_scenario(samples[split:], spec, Direction.POSITIVE)
         merged = concat_runs(head, tail)
-        assert runs_equal(merged, whole)  # outcomes and errors
-        assert head.errors + tuple((i + split, m) for i, m in tail.errors) == whole.errors
+        assert runs_equal(merged, whole)  # outcomes and failures
+        assert merged.failures() == whole.failures()
         assert build_envelope(merged) == build_envelope(whole)
 
 
@@ -405,31 +428,28 @@ def oracle_rows(draw):
 @example(rows=[make_sample(indoor=18.0), make_sample(indoor=24.0)], outdoor=5.0)
 def test_kernel_equals_rc_oracle(rows, outdoor):
     # every row of the columnar kernel is exactly what the scalar rc.evaluate
-    # returns for it, in both directions; rows rc rejects are failed with
-    # its message and stay out of every envelope
+    # returns for it, in both directions; rows rc rejects carry the code of
+    # the check that raised, are counted with its message and stay out of
+    # every envelope
     table = make_table(rows)
     for direction in Direction:
         spec = spec_at(outdoor)
         run = run_scenario(table, spec, direction)
         expected_errors = []
         for i, row in enumerate(rows):
-            try:
-                dwelling = RcDwelling(resistance=1.0 / (row.heat_loss * 1000.0),
-                                      capacitance=row.capacitance * 1000.0,
-                                      hp_max_thermal=row.hp_size * 1000.0)
-                expected = evaluate(dwelling, row.indoor_temp, outdoor, spec.cop_curve,
-                                    spec.comfort_band, direction)
-            except DomainError as exc:
-                assert run.kind[i] == FAILED
-                expected_errors.append((i, str(exc)))
+            code, expected = rc_oracle(row.heat_loss, row.capacitance, row.hp_size,
+                                       row.indoor_temp, spec, direction)
+            if code is not None:
+                assert run.kind[i] == code
+                expected_errors.append((i, code, expected))
                 continue
             got = outcome_at(run, i)
             assert got.duration.kind == expected.duration.kind
             assert got.magnitude_electric == expected.magnitude_electric
             assert got.duration.seconds == expected.duration.seconds
-        assert run.errors == tuple(expected_errors)
+        assert run.failures() == failures_of(expected_errors)
 
-        kept = run[run.kind != FAILED]
+        kept = run[run.kind < FAILED]
         assert build_envelope(run) == build_envelope(kept)
         assert rollup(run, load_region_table(), Level.LSOA) == \
             rollup(kept, load_region_table(), Level.LSOA)
@@ -457,21 +477,20 @@ def test_kernel_blocks_equal_rc_oracle(monkeypatch):
         run = run_scenario(table, spec, direction)
         expected_errors = []
         for i, (r, t) in enumerate(zip(record.tolist(), indoor.tolist())):
-            try:
-                dwelling = RcDwelling(resistance=1.0 / (float(heat_loss[r]) * 1000.0),
-                                      capacitance=float(table.capacitance[r]) * 1000.0,
-                                      hp_max_thermal=float(hp_size[r]) * 1000.0)
-                expected = evaluate(dwelling, t, 5.0, spec.cop_curve, spec.comfort_band,
-                                    direction)
-            except DomainError as exc:
-                expected_errors.append((i, str(exc)))
+            code, expected = rc_oracle(float(heat_loss[r]), float(table.capacitance[r]),
+                                       float(hp_size[r]), t, spec, direction)
+            if code is not None:
+                assert run.kind[i] == code
+                expected_errors.append((i, code, expected))
                 continue
             got = outcome_at(run, i)
             assert got.duration.kind == expected.duration.kind
             assert got.magnitude_electric == expected.magnitude_electric
             assert got.duration.seconds == expected.duration.seconds
-        assert [i for i, _ in expected_errors] == [block, block + 7, 2 * block - 1, 2 * block]
-        assert run.errors == tuple(expected_errors)
+        assert [(i, code) for i, code, _ in expected_errors] == [
+            (block, FAILED_INDOOR), (block + 7, FAILED), (2 * block - 1, FAILED_INDOOR),
+            (2 * block, FAILED)]
+        assert run.failures() == failures_of(expected_errors)
         with monkeypatch.context() as patch:
             patch.setattr(scenario, "_BLOCK", n)
             whole = run_scenario(table, spec, direction)
@@ -510,10 +529,30 @@ def test_bad_sample_collected_not_fatal():
     bad = good[0]._replace(indoor_temp=500.0)
     run = run_scenario(make_table([bad] + good), spec, Direction.NEGATIVE)
     assert len(pairs_of(run)) == 1
-    assert len(run.errors) == 1
-    failed_row, message = run.errors[0]
-    assert run.samples.indoor_temp[failed_row] == 500.0
+    assert run.kind[0] == FAILED_INDOOR and run.samples.indoor_temp[0] == 500.0
+    message = run.failures()[0][1]
+    assert run.failures() == [(1, message)]
     assert "500" in message
+
+
+def test_failures_counted_by_reason_code():
+    # a zero heat pump size, a row at 500 C and a row with both faults: rc
+    # checks R, C and size before the temperature, so two rows fail on their
+    # parameters and one on its temperature, and each reason is listed once,
+    # in code order, with rc's message for its first row
+    rows = [make_sample(), make_sample(hp_size=0.0), make_sample(indoor=500.0),
+            make_sample(indoor=500.0, hp_size=0.0), make_sample()]
+    for direction in Direction:
+        spec = spec_at(5.0)
+        run = run_scenario(make_table(rows), spec, direction)
+        assert run.kind[1:4].tolist() == [FAILED, FAILED_INDOOR, FAILED]
+        assert run.kind[0] < FAILED and run.kind[4] < FAILED
+        assert run.failures() == [
+            (2, "RcDwelling parameters must be positive: R=0.005, C=25000000.0, max=0.0"),
+            (1, "indoor temperature 500.0 C outside plausible range [-50.0, 60.0]"),
+        ]
+        assert [rc_oracle(r.heat_loss, r.capacitance, r.hp_size, r.indoor_temp, spec,
+                          direction)[0] for r in rows] == [None, FAILED, FAILED_INDOOR, FAILED, None]
 
 
 def test_uptake_zero_gives_zero_weights(small_stock):

@@ -59,3 +59,16 @@ def test_empty_stock():
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         generate_stock(-1, seed=1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lsoa_count": 0}, "lsoa_count must be >= 1, got 0"),
+    ({"lsoa_count": -3}, "lsoa_count must be >= 1, got -3"),
+    ({"region_names": []}, "region_names must name at least one region"),
+], ids=["no LSOAs", "negative LSOA count", "no regions"])
+def test_empty_layout_rejected(kwargs, message):
+    # a layout with nowhere to put dwellings is refused by name, not with a
+    # ZeroDivisionError from spreading them over it
+    for n_dwellings in (0, 100):
+        with pytest.raises(ValueError, match=message):
+            generate_stock(n_dwellings, seed=1, **kwargs)
