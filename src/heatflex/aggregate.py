@@ -16,14 +16,13 @@ each row its slot, then one pass over the run in blocks of rows adds each row
 into its group's sums and its slot's mass with np.add.at. Sums run left to
 right in sample order (np.add.at and np.cumsum, not the pairwise np.sum), so
 each is the float a loop over the samples would give, whatever the blocks.
-A report holds the fold's columns, which the exporters turn into Python
-floats a block at a time; per-group objects are built only when asked for.
+A report holds the fold's columns, which the exporters write a block of rows
+at a time with `stock.float_text`; per-group objects are built only when asked for.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from array import array
@@ -33,13 +32,13 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, groupby
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import DataValidationError, HeatflexError
 from .regions import RegionTable
 from .scenario import FAILED, FINITE, UNBOUNDED, ScenarioRun, _blocks
+from .stock import _csv_lines, float_text
 
 DISPLAY_CAP_S = 86400.0  # 24 h, export/plotting cap only, never used in totals
 _GRID_POINTS_MAX = 1_000_000  # points a plot grid may have; the default one has 1,441
@@ -349,15 +348,16 @@ def _export_csv(report: AggregateReport, out_dir: Path) -> list[Path]:
     summary_path = out_dir / "summary.csv"
     written = [envelope_path, summary_path]
 
-    with open(envelope_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("key,duration_s,power_w\n")
-        for g, key in enumerate(report.keys):
-            # the key cell as csv quotes it in a row of several fields; the
-            # terminator stays "\n", which decides whether a newline is quoted
-            cell = io.StringIO()
-            csv.writer(cell, lineterminator="\n").writerow([key, ""])
-            prefix = cell.getvalue()[:-1]
-            fh.writelines(f"{prefix}{d!r},{p!r}\n" for d, p in _pairs(report, g))
+    bounds = report.offsets.tolist()
+    with open(envelope_path, "wb") as fh:
+        fh.write(b"key,duration_s,power_w\n")
+        # each key cell as csv quotes it in a row of several fields, with its
+        # comma; the terminator stays "\n", which decides whether a newline is quoted
+        cells = [line[:-1] for line in _csv_lines([key, ""] for key in report.keys)]
+        for prefix, a, b in zip(cells, bounds, bounds[1:]):
+            for text in float_text((report.durations[a:b], report.power[a:b])):  # [[d,p],...]
+                fh.writelines((prefix, memoryview(text.replace(b"],[", b"\n" + prefix))[2:-2],
+                               b"\n"))
 
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -383,7 +383,6 @@ def _export_csv(report: AggregateReport, out_dir: Path) -> list[Path]:
 # report.json; no group key can produce this text, since json escapes every
 # quote inside a string.
 _BREAKPOINTS_SLOT = '"breakpoints": "@"'
-_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _export_json(report: AggregateReport, path: Path) -> Path:
@@ -396,39 +395,20 @@ def _export_json(report: AggregateReport, path: Path) -> Path:
         "excluded_power_w": report.excluded_power_w,
     }
     # json's Python encoder lays out the small part; the breakpoint lists,
-    # most of the bytes, are written directly in the same layout
+    # most of the bytes, are float_text's blocks, laid out four lists deep as here
     head, *tails = json.dumps(doc, sort_keys=True, indent=2).split(_BREAKPOINTS_SLOT)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        for g, tail in enumerate(tails):  # json sorts the keys as report.keys are
-            fh.write('"breakpoints": ')
-            fh.writelines(_json_pairs(_pairs(report, g), indent=6))
-            fh.write(tail)
-        fh.write("\n")
+    bounds = report.offsets.tolist()
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
+        for tail, a, b in zip(tails, bounds, bounds[1:]):  # json sorts the keys as report.keys are
+            fh.write(b'"breakpoints": ')
+            sep = b"["
+            for text in float_text((report.durations[a:b], report.power[a:b]), json=True):
+                fh.writelines((sep, memoryview(text)[19:-20]))  # the rows, not the four lists
+                sep = b","
+            fh.writelines((b"[]" if sep == b"[" else b"\n      ]", tail.encode()))
+        fh.write(b"\n")
     return path
-
-
-def _pairs(report: AggregateReport, g: int) -> Iterator[tuple[float, float]]:
-    """Group g's breakpoints as pairs of Python floats, converted a block of
-    rows at a time, so that a long envelope is never held whole as Python objects."""
-    a, b = report.offsets[g:g + 2]
-    d, p = report.durations[a:b], report.power[a:b]
-    return chain.from_iterable(zip(d[rows].tolist(), p[rows].tolist())
-                               for rows in _blocks(len(d)))
-
-
-def _json_pairs(pairs: Iterable[tuple[float, float]], indent: int) -> Iterator[str]:
-    """A list of number pairs as json.dumps(..., indent=2) writes it at this indent."""
-    outer, pair, number = (" " * (indent + k) for k in (0, 2, 4))
-    first = "[\n" + pair + "[\n" + number
-    between = "\n" + pair + "],\n" + pair + "[\n" + number
-    comma = ",\n" + number
-    sep = first
-    for d, p in pairs:
-        d, p = repr(d), repr(p)
-        yield sep + _JSON_SPECIAL.get(d, d) + comma + _JSON_SPECIAL.get(p, p)
-        sep = between
-    yield "[]" if sep is first else "\n" + pair + "]\n" + outer + "]"
 
 
 def load_report(path_or_dir: str | Path, fmt: ExportFormat) -> AggregateReport:
@@ -442,11 +422,11 @@ def load_report(path_or_dir: str | Path, fmt: ExportFormat) -> AggregateReport:
 
 @contextmanager
 def _malformed(source: Path):
-    """Raise a missing field or an unreadable value met in the body as a
-    DataValidationError that names source."""
+    """Raise a missing field, an unreadable value or a value of the wrong type
+    (a list for a mapping, say) met in the body as a DataValidationError that names source."""
     try:
         yield
-    except (LookupError, TypeError, ValueError) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise DataValidationError(f"{source}: malformed export ({type(exc).__name__}: "
                                   f"{exc})") from None
 
@@ -478,20 +458,21 @@ def _load_json(path: Path) -> AggregateReport:
 
 
 def _load_csv(out_dir: Path) -> AggregateReport:
-    with open(out_dir / "summary.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows or rows[-1]["key"] != _TOTAL_KEY:
-        raise DataValidationError(f"{out_dir / 'summary.csv'}: empty, or not ending in a total row")
-    *groups, totals = rows
-    if len({row["level"] for row in rows}) > 1:
-        raise DataValidationError(f"{out_dir / 'summary.csv'}: rows of more than one level")
-    for row in groups:
-        if row["excluded_power_w"]:
-            raise DataValidationError(
-                f"{out_dir}: summary.csv group {row['key']!r} has excluded_power_w "
-                f"{row['excluded_power_w']!r}; only the {_TOTAL_KEY} row carries it"
-            )
-    keys = [row["key"] for row in groups]
+    summary = out_dir / "summary.csv"
+    with open(summary, newline="", encoding="utf-8") as fh, _malformed(summary):
+        rows = list(csv.DictReader(fh))  # a renamed column is a missing field
+        if not rows or rows[-1]["key"] != _TOTAL_KEY:
+            raise DataValidationError(f"{summary}: empty, or not ending in a total row")
+        *groups, totals = rows
+        if len({row["level"] for row in rows}) > 1:
+            raise DataValidationError(f"{summary}: rows of more than one level")
+        for row in groups:
+            if row["excluded_power_w"]:
+                raise DataValidationError(
+                    f"{out_dir}: summary.csv group {row['key']!r} has excluded_power_w "
+                    f"{row['excluded_power_w']!r}; only the {_TOTAL_KEY} row carries it"
+                )
+        keys = [row["key"] for row in groups]
 
     steps, runs = array("d"), []  # every step in file order; each key's run of rows and its start
     envelope = out_dir / "envelope.csv"
@@ -512,11 +493,11 @@ def _load_csv(out_dir: Path) -> AggregateReport:
     unresolved: tuple[str, ...] = ()
     unresolved_path = out_dir / "unresolved.csv"
     if unresolved_path.exists():
-        with open(unresolved_path, newline="", encoding="utf-8") as fh:
+        with open(unresolved_path, newline="", encoding="utf-8") as fh, _malformed(unresolved_path):
             unresolved = tuple(row["lsoa_id"] for row in csv.DictReader(fh))
 
-    with _malformed(out_dir / "summary.csv"):
-        return _loaded(out_dir / "summary.csv", Level(totals["level"]), keys, counts, steps,
+    with _malformed(summary):
+        return _loaded(summary, Level(totals["level"]), keys, counts, steps,
                        groups, totals, unresolved_lsoas=unresolved,
                        excluded_power_w=float(totals["excluded_power_w"]))
 

@@ -48,8 +48,12 @@ _SECTIONS = {
 
 
 def read_scenario(path: str | Path) -> ScenarioSpec:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path, encoding="utf-8")
+    # values are read as written, so only parsing raises configparser's errors
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"scenario file not found: {path}")
 

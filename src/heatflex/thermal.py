@@ -20,7 +20,6 @@ holds its stock, so what reads it next takes the table alone.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .regions import RegionTable
 from .stock import (CATEGORIES, CATEGORY_CODE, DwellingCategory, DwellingRecord, StockTable,
-                    as_stock_table)
+                    _write_rows, as_stock_table)
 
 HOURS_PER_DAY = 24.0  # degree days -> degree hours
 
@@ -203,16 +202,5 @@ def total_installed_thermal_kw(params: ThermalTable) -> float:
 
 def write_params_csv(params: ThermalTable, path: str | Path) -> None:
     """Export derived parameters, one row per stock row with count > 0."""
-    stock, rows = params.stock, params.rows
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["lsoa_id", "form", "heating", "count", "ql_kw_per_c", "c_kj_per_k", "hp_kw"]
-        )
-        for (lsoa_id, code), count, *values in zip(
-            stock.keys(rows), stock.count[rows].tolist(), params.heat_loss.tolist(),
-            params.capacitance.tolist(), params.hp_size.tolist(),
-        ):
-            category = CATEGORIES[code]
-            writer.writerow([lsoa_id, category.form.value, category.heating.value, count,
-                             *map(repr, values)])
+    _write_rows(path, ["lsoa_id", "form", "heating", "count", "ql_kw_per_c", "c_kj_per_k", "hp_kw"],
+                params.stock, params.rows, (params.heat_loss, params.capacitance, params.hp_size))

@@ -37,6 +37,7 @@ from heatflex import (
     run_stock_scenario,
 )
 from heatflex import scenario as scenario_module
+from heatflex import stock as stock_module
 from heatflex.scenario import FAILED, FAILED_INDOOR, FINITE, UNBOUNDED, ZERO
 from heatflex.synth import generate_stock
 
@@ -539,9 +540,12 @@ def edit_lines(path, edit):
      "malformed export (ValueError: could not convert string to float: 'x')"),
     ("summary.csv", lambda lines: [lines[0], lines[1].replace("14400.0", "x"), *lines[2:]],
      "malformed export (ValueError: could not convert string to float: 'x')"),
+    ("summary.csv", lambda lines: [lines[0].replace(",key,", ",name,"), *lines[1:]],
+     "malformed export (KeyError: 'key')"),
 ], ids=["envelope key with no summary row", "repeated summary key", "two levels",
         "total row first", "envelope rows out of key order", "a group's envelope rows apart",
-        "envelope row of two cells", "non-numeric envelope cell", "non-numeric summary cell"])
+        "envelope row of two cells", "non-numeric envelope cell", "non-numeric summary cell",
+        "summary key column renamed"])
 def test_csv_load_refuses_a_malformed_export(tmp_path, name, edit, message):
     # the loader lays the steps out in summary.csv's key order, so it refuses
     # a file whose keys do not strictly increase, or whose envelope rows are
@@ -578,7 +582,9 @@ def test_json_load_refuses_groups_out_of_key_order(tmp_path):
     (lambda doc: doc.pop("totals"), "malformed export (KeyError: 'totals')"),
     (lambda doc: doc["totals"].update(installed_w="x"),
      "malformed export (ValueError: could not convert string to float: 'x')"),
-], ids=["breakpoint of three numbers", "no totals", "non-numeric total"])
+    (lambda doc: doc.update(groups=list(doc["groups"].values())),
+     "malformed export (AttributeError: 'list' object has no attribute 'values')"),
+], ids=["breakpoint of three numbers", "no totals", "non-numeric total", "groups a list"])
 def test_json_load_refuses_a_malformed_export(tmp_path, edit, message):
     # a step that is not a pair, a missing field or a value that is not a
     # number is refused as a data error that names the file
@@ -711,7 +717,8 @@ def test_json_export_writes_what_json_module_writes(tmp_path):
         return GroupStats(envelope_of(breakpoints, power, unbounded), 1.5, 0.1)
 
     groups = {
-        "z": group([(60.0, 3.0), (1e-300, 2.0), (7200.5, 1.0)], 0.5),
+        "z": group([(60.0, 3.0), (1e-300, 2.0), (7200.5, 1.0),
+                    (1e16, float(np.nextafter(1e-4, 0))), (5e-324, 0.5)], 0.5),
         "all unbounded": group([], 4.0),
         'quote " and breakpoints': group([(1.0, float("inf")), (2.0, float("nan"))], 0.0),
         "breakpoints": group([(0.1, 0.2)], 0.0),
@@ -733,6 +740,7 @@ def test_csv_envelope_writes_what_csv_writer_writes(tmp_path):
             " leading space", "", "\"", "tab\tkey"]
     groups = {key: group(breakpoints[:i % 4 + 1]) for i, key in enumerate(keys)}
     groups["no breakpoints"] = group([])
+    groups["edges"] = group([(1e16, float(np.nextafter(1e-4, 0))), (5e-324, 1.0)])
     report = report_of(Level.LSOA, groups, 6.0, 7.0, 4.5, 0.4)
     export_report(report, ExportFormat.CSV, tmp_path)
     assert (tmp_path / "envelope.csv").read_bytes() == csv_writer_envelope(
@@ -775,6 +783,7 @@ def test_exports_equal_across_block_sizes(tmp_path, monkeypatch):
     whole = {p.name: p.read_bytes() for fmt in ExportFormat
              for p in export_report(report, fmt, tmp_path / "whole")}
     monkeypatch.setattr(scenario_module, "_BLOCK", 3)
+    monkeypatch.setattr(stock_module, "_TEXT_ROWS", 3)
     blocks = {p.name: p.read_bytes() for fmt in ExportFormat
               for p in export_report(report, fmt, tmp_path / "blocks")}
     assert len(durations) >= 10 and sorted(whole) == sorted(blocks) == [

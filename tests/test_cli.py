@@ -615,6 +615,30 @@ def test_bad_scenario_exits_1(workspace):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("text, message", [
+    (SCENARIO_FIXED.replace("outdoor_temp = 5.0", "outdoor_temp = 5.0\noutdoor_temp = 6.0"),
+     "option 'outdoor_temp' in section 'scenario' already exists"),
+    (SCENARIO_FIXED.replace("[scenario]\n", ""), "File contains no section headers"),
+    (SCENARIO_FIXED.replace("[indoor]", "[indoor]\n[scenario]"),
+     "section 'scenario' already exists"),
+    (SCENARIO_FIXED + "a line with no key\n", "Source contains parsing errors"),
+    (SCENARIO_FIXED.replace("5.0", "5%"),  # read as written: no interpolation error
+     "[scenario] outdoor_temp: could not convert string to float: '5%'"),
+], ids=["repeated key", "no section header", "repeated section", "unparsable line", "percent"])
+def test_unparsable_scenario_exits_1_naming_the_file(workspace, capsys, text, message):
+    # configparser's own errors are configuration errors, like every other
+    # fault of the scenario file, not the last-resort exit 3
+    bad = workspace / "unparsable.ini"
+    bad.write_text(text, encoding="utf-8")
+    out = workspace / "unparsable"
+    assert main(["flex", "--stock", str(workspace / "stock.csv"),
+                 "--lookup", str(workspace / "stock_lookup.csv"), "--scenario", str(bad),
+                 "--direction", "neg", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"heatflex: configuration error: {bad}: ") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("old, new, key", [
     ("outdoor_temp = 0.0", "outdoor_temp = nan", "[scenario] outdoor_temp"),
     ("seed = 42", "seed = 42\nsd = nan", "[indoor] sd"),

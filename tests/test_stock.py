@@ -1,6 +1,7 @@
 """Stock ingestion: CSV round trip, validation errors, winsorization."""
 
 import csv
+import json
 import tempfile
 import tracemalloc
 import warnings
@@ -32,10 +33,11 @@ from heatflex import (
     size_heat_pump,
     thermal_capacity,
     winsorize_stock,
+    write_params_csv,
     write_stock,
 )
 from heatflex import stock as stock_module
-from heatflex.stock import StockTable
+from heatflex.stock import StockTable, float_text
 from heatflex.synth import generate_stock
 
 from conftest import GAS_DETACHED, GAS_FLAT, make_record, make_region_table, percentile_by_hand
@@ -154,6 +156,73 @@ def test_round_trip_identity(tmp_path):
     path = tmp_path / "out.csv"
     write_stock(records, path)
     assert list(load_stock(path)) == records
+
+
+def test_stock_and_params_writers_write_what_csv_writer_writes(tmp_path):
+    # write_stock and write_params_csv write their rows without csv.writer;
+    # the bytes must stay those of a writerow loop with repr, whatever the
+    # LSOA id holds and wherever the floats lie
+    ids = ["E01000001", "comma, id", 'quote " id', "new\nline", "carriage\rreturn", " space"]
+    values = [(1e16, 1e16, 1e300), (12345.678, float(np.nextafter(1e-4, 0)), 5e-324),
+              (1e-4, 1e-5, 101.25), (9.999e15, 5e-324, 0.1)]
+    records = [make_record(lsoa_id=lsoa, category=category, count=i % 3 + 1, before=before,
+                           after=after, floor_area=area)
+               for i, (lsoa, (before, after, area), category) in enumerate(
+                   (lsoa, v, c) for lsoa in ids for v, c in zip(values, (GAS_DETACHED, GAS_FLAT)))]
+    records.insert(3, make_record(lsoa_id="E01000002", count=0, before=0.0, after=0.0,
+                                  floor_area=0.0))
+
+    def reference(path, header, rows):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        return path.read_bytes()
+
+    write_stock(records, tmp_path / "stock.csv")
+    assert (tmp_path / "stock.csv").read_bytes() == reference(
+        tmp_path / "stock_reference.csv", list(stock_module.DEFAULT_STOCK_SCHEMA.values()),
+        ([r.lsoa_id, r.category.form.value, r.category.heating.value, r.count,
+          repr(r.annual_heat_demand_before), repr(r.annual_heat_demand_after),
+          repr(r.floor_area)] for r in records))
+
+    params = derive_all(records, make_region_table(
+        {lsoa: ("Wales", "LA") for lsoa in [*ids, "E01000002"]}))
+    write_params_csv(params, tmp_path / "params.csv")
+    live = [r for r in records if not r.skippable]
+    assert (tmp_path / "params.csv").read_bytes() == reference(
+        tmp_path / "params_reference.csv",
+        ["lsoa_id", "form", "heating", "count", "ql_kw_per_c", "c_kj_per_k", "hp_kw"],
+        ([r.lsoa_id, r.category.form.value, r.category.heating.value, r.count,
+          *map(repr, values)] for r, values in zip(live, zip(
+              params.heat_loss.tolist(), params.capacitance.tolist(), params.hp_size.tolist()))))
+
+
+@pytest.mark.parametrize("json_layout", [False, True], ids=["csv", "json"])
+def test_float_text_spells_every_float_as_repr(json_layout):
+    # orjson spells a float as repr does only for +-0.0 and 1e-4 <= |x| < 1e16;
+    # float_text must write repr's spelling of any float64 (json's NaN,
+    # Infinity and -Infinity in the json layout), in the compact layout or in
+    # json.dumps(indent=2)'s. A future orjson that spells a float another way
+    # fails here
+    rng = np.random.default_rng(22)
+    bits = np.frombuffer(rng.bytes(8 * 1_000_000), dtype=np.float64)  # any bit pattern
+    edges = [1e-4, 1e16, *(np.nextafter(v, to) for v in (1e-4, 1e16) for to in (0.0, np.inf))]
+    named = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+             np.nan, np.inf, -np.inf]
+    blocks = [np.concatenate([bits, edges, np.negative(edges), named]).reshape(-1, 2),
+              np.array([[1e16, np.nan], [5e-324, -np.inf], [1e-5, -1e300]]),  # all outside
+              np.array([[1.0, 2.5], [1e-4, -0.0], [0.0, 9999999999999998.0]])]  # none outside
+    special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"} if json_layout else {}
+    for block in blocks:
+        texts = list(float_text(block.T, json=json_layout))
+        numbers = b",".join(texts).translate(None, b"[] \n").split(b",")
+        assert numbers == [special.get(s, s).encode() for s in map(repr, block.ravel().tolist())]
+        rows = block[:stock_module._TEXT_ROWS].tolist()  # the first block's layout
+        assert texts[0] == (json.dumps([[[rows]]], indent=2) if json_layout else
+                            "[%s]" % ",".join("[%s]" % ",".join(map(repr, r)) for r in rows)
+                            ).encode()
+    assert len(texts) == 1 and blocks[0].shape[0] > stock_module._TEXT_ROWS
 
 
 # ---------------------------------------------------------------------------
