@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain, groupby, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DataValidationError, HeatflexError
 from .regions import RegionTable
 from .scenario import FAILED, FINITE, UNBOUNDED, ScenarioRun, _blocks
-from .stock import _csv_lines, float_text
+from .stock import _csv_cells, float_text
 
 DISPLAY_CAP_S = 86400.0  # 24 h, export/plotting cap only, never used in totals
 _GRID_POINTS_MAX = 1_000_000  # points a plot grid may have; the default one has 1,441
@@ -348,16 +348,11 @@ def _export_csv(report: AggregateReport, out_dir: Path) -> list[Path]:
     summary_path = out_dir / "summary.csv"
     written = [envelope_path, summary_path]
 
-    bounds = report.offsets.tolist()
     with open(envelope_path, "wb") as fh:
         fh.write(b"key,duration_s,power_w\n")
-        # each key cell as csv quotes it in a row of several fields, with its
-        # comma; the terminator stays "\n", which decides whether a newline is quoted
-        cells = [line[:-1] for line in _csv_lines([key, ""] for key in report.keys)]
-        for prefix, a, b in zip(cells, bounds, bounds[1:]):
-            for text in float_text((report.durations[a:b], report.power[a:b])):  # [[d,p],...]
-                fh.writelines((prefix, memoryview(text.replace(b"],[", b"\n" + prefix))[2:-2],
-                               b"\n"))
+        for prefix, (a, b) in zip(_csv_cells(report.keys), pairwise(report.offsets.tolist())):
+            for text in float_text((report.durations[a:b], report.power[a:b])):  # d,p],[d,p
+                fh.writelines((prefix, text.replace(b"],[", b"\n" + prefix), b"\n"))
 
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -372,9 +367,7 @@ def _export_csv(report: AggregateReport, out_dir: Path) -> list[Path]:
     if report.unresolved_lsoas:
         with open(unresolved_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["lsoa_id"])
-            for lsoa in report.unresolved_lsoas:
-                writer.writerow([lsoa])
+            writer.writerows([lsoa] for lsoa in ("lsoa_id", *report.unresolved_lsoas))
         written.append(unresolved_path)
     return written
 
@@ -397,16 +390,15 @@ def _export_json(report: AggregateReport, path: Path) -> Path:
     # json's Python encoder lays out the small part; the breakpoint lists,
     # most of the bytes, are float_text's blocks, laid out four lists deep as here
     head, *tails = json.dumps(doc, sort_keys=True, indent=2).split(_BREAKPOINTS_SLOT)
-    bounds = report.offsets.tolist()
     with open(path, "wb") as fh:
         fh.write(head.encode())
-        for tail, a, b in zip(tails, bounds, bounds[1:]):  # json sorts the keys as report.keys are
-            fh.write(b'"breakpoints": ')
-            sep = b"["
-            for text in float_text((report.durations[a:b], report.power[a:b]), json=True):
-                fh.writelines((sep, memoryview(text)[19:-20]))  # the rows, not the four lists
-                sep = b","
-            fh.writelines((b"[]" if sep == b"[" else b"\n      ]", tail.encode()))
+        # json sorts the keys as report.keys are
+        for tail, (a, b) in zip(tails, pairwise(report.offsets.tolist())):
+            texts = float_text((report.durations[a:b], report.power[a:b]), json=True)
+            fh.write(b'"breakpoints": [')
+            for i, text in enumerate(texts):
+                fh.writelines((b"," if i else b"", text))
+            fh.writelines((b"\n      ]" if b > a else b"]", tail.encode()))
         fh.write(b"\n")
     return path
 
@@ -527,8 +519,7 @@ def export_plot_grid(
     power = np.where(grid <= 0, envelope.total_power,
                      steps[np.searchsorted(envelope.durations, grid)])
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["duration_s", "power_w"])
-        writer.writerows([repr(t), repr(p)] for t, p in zip(grid.tolist(), power.tolist()))
+    with open(path, "wb") as fh:
+        fh.write(b"duration_s,power_w\n")
+        fh.writelines(text.replace(b"],[", b"\n") + b"\n" for text in float_text((grid, power)))
     return path

@@ -48,23 +48,22 @@ _SECTIONS = {
 
 
 def read_scenario(path: str | Path) -> ScenarioSpec:
-    # values are read as written, so only parsing raises configparser's errors
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         read = parser.read(path, encoding="utf-8")
+        for section in parser.sections():
+            if section not in _SECTIONS:
+                raise ConfigError(f"{path}: unknown section [{section}]")
+            # items interpolates each value: a bad %(name)s raises here, not later
+            unknown = {key for key, _ in parser.items(section)} - _SECTIONS[section]
+            if unknown:
+                raise ConfigError(
+                    f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
+                )
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"scenario file not found: {path}")
-
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = set(parser[section]) - _SECTIONS[section]
-        if unknown:
-            raise ConfigError(
-                f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
-            )
     for required in ("scenario", "indoor"):
         if required not in parser:
             raise ConfigError(f"{path}: missing required section [{required}]")

@@ -21,7 +21,8 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
+from json import dumps as _json_dumps  # a float as repr spells it, nan and inf as json does
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -191,13 +192,12 @@ class StockTable:
     @staticmethod
     def from_records(records: Iterable[DwellingRecord]) -> "StockTable":
         lsoas: dict[str, int] = {}
-        fields = [("lsoa_code", np.intp), ("category_code", np.int8), ("count", np.int64),
-                  ("demand_before", float), ("demand_after", float), ("floor_area", float)]
-        # one packed 41-byte row per record and no Python tuple; the columns are views of it
-        rows = np.fromiter(((lsoas.setdefault(r.lsoa_id, len(lsoas)), CATEGORY_CODE[r.category],
-                             r.count, r.annual_heat_demand_before, r.annual_heat_demand_after,
-                             r.floor_area) for r in records), dtype=fields)
-        return StockTable(tuple(lsoas), *(rows[name] for name, _ in fields))
+        rows = [(lsoas.setdefault(r.lsoa_id, len(lsoas)), CATEGORY_CODE[r.category], r.count,
+                 r.annual_heat_demand_before, r.annual_heat_demand_after, r.floor_area)
+                for r in records]
+        code, category, count, *values = zip(*rows) if rows else [()] * 6
+        return StockTable(tuple(lsoas), np.array(code, np.intp), np.array(category, np.int8),
+                          np.array(count, np.int64), *(np.array(v, float) for v in values))
 
 
 def as_stock_table(stock: StockTable | Iterable[DwellingRecord]) -> StockTable:
@@ -335,66 +335,65 @@ def _row_error(prefix, lsoa_id, form, heating, count, *cells) -> DataValidationE
 # Rows float_text writes at a time: with 16,384 the export raised the national run's
 # peak RSS from the aggregate stage's 67.2 MB to 70.0 MB, with 4,096 to 67.5 MB.
 _TEXT_ROWS = 4096
-_JSON_SPECIAL = {b"nan": b"NaN", b"inf": b"Infinity", b"-inf": b"-Infinity"}
 
 
-def float_text(columns: Sequence[np.ndarray], json: bool = False) -> Iterator[bytes]:
-    """The rows of equal-length float64 columns as orjson writes a (rows, k) block
-    of them, _TEXT_ROWS rows at a time, every number spelled as repr spells it:
-    compact, or with json wrapped as [[[block]]] and indented by 2, so that
-    text[19:-20] is the rows as json.dumps(indent=2) lays them out four lists deep."""
+def float_text(columns: Sequence[np.ndarray], json: bool = False) -> Iterator[bytes | memoryview]:
+    """The rows of equal-length float64 columns, _TEXT_ROWS rows at a time, as
+    orjson writes a (rows, k) block of them with every number spelled as repr
+    spells it: compact without the block's brackets (1.0,2.0],[3.0,4.0), or
+    as json.dumps(indent=2) lays the rows out four lists deep."""
     import orjson  # deferred: loaded after a run's evaluate and aggregate peaks, it adds to neither
     option = orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 if json else 0)
     for start in range(0, len(columns[0]), _TEXT_ROWS):
         block = np.stack([c[start:start + _TEXT_ROWS] for c in columns], axis=1)
         # orjson spells a float as repr does only for ±0.0 and 1e-4 <= |x| < 1e16;
-        # it writes null for the others once they are nan, and repr fills them in
+        # it writes null for the others once they are nan, and repr or json fills them in
         size = np.abs(block)
         other = ~((1e-4 <= size) & (size < 1e16)) & (block != 0)  # nan and ±inf too
-        spelled = [_JSON_SPECIAL.get(x, x) if json else x
-                   for x in (repr(v).encode() for v in block[other].tolist())]
+        spelled = tuple((_json_dumps if json else repr)(v).encode() for v in block[other].tolist())
         block[other] = np.nan
         text = orjson.dumps([[[block]]] if json else block, option=option)
-        if spelled:  # null comes from no number, so the gaps are the nans in row order
-            parts = text.split(b"null")
-            text = b"".join([*chain.from_iterable(zip(parts, spelled)), parts[-1]])
-        yield text
+        if spelled:  # null comes from no number, and % from none, so each is a nan in row order
+            text = text.replace(b"null", b"%s") % spelled
+        # [[[block]]] puts the rows at json's depth; a view drops the four lists uncopied
+        yield memoryview(text)[19:-20] if json else text[2:-2]
 
 
-def _csv_lines(rows: Iterable[Sequence]) -> list[bytes]:
-    """Each row as csv.writer(lineterminator="\n") writes it, in UTF-8."""
+def _csv_cells(values: Iterable[str]) -> list[bytes]:
+    """Each value as csv.writer(lineterminator="\n") writes it as one of several
+    fields, with the comma after it, in UTF-8. The terminator decides whether a
+    newline is quoted."""
     buf = io.StringIO()  # writerow returns the characters it wrote
-    ends = [0, *accumulate(map(csv.writer(buf, lineterminator="\n").writerow, rows))]
+    ends = [0, *accumulate(csv.writer(buf, lineterminator="\n").writerow([v, ""]) for v in values)]
     text = buf.getvalue()
-    return [text[a:b].encode() for a, b in zip(ends, ends[1:])]
+    return [text[a:b - 1].encode() for a, b in zip(ends, ends[1:])]
 
 
-def _write_rows(path, header: list[str], stock: StockTable, rows: Sequence[int],
-                columns: Sequence[np.ndarray]) -> None:
-    """Write a CSV of header, then the stock's rows as lsoa_id,form,heating,count
-    and each row's floats in columns: the bytes csv.writer writes with repr."""
-    # an LSOA cell as csv quotes it in a row of several fields, with its comma
-    lsoa = [line[:-1] for line in _csv_lines([lsoa_id, ""] for lsoa_id in stock.lsoa_ids)]
+def _write_rows(fh, stock: StockTable, rows: Sequence[int], columns: Sequence[np.ndarray]) -> None:
+    """Write the stock's rows to fh as lsoa_id,form,heating,count and each row's
+    floats in columns: the bytes csv.writer writes with repr."""
+    lsoa = _csv_cells(stock.lsoa_ids)
     category = [f"{c.form.value},{c.heating.value},".encode() for c in CATEGORIES]
-    with open(path, "wb") as fh:
-        fh.write(_csv_lines([header])[0])
-        for start, text in zip(range(0, len(rows), _TEXT_ROWS), float_text(columns)):
-            block = rows[start:start + _TEXT_ROWS]
-            fh.write(b"".join(b"%s%s%d,%s\n" % line for line in zip(
-                map(lsoa.__getitem__, stock.lsoa_code[block].tolist()),
-                map(category.__getitem__, stock.category_code[block].tolist()),
-                stock.count[block].tolist(), text[2:-2].split(b"],["))))
+    for start, text in zip(range(0, len(rows), _TEXT_ROWS), float_text(columns)):
+        block = rows[start:start + _TEXT_ROWS]
+        fh.write(b"".join(b"%s%s%d,%s\n" % line for line in zip(
+            map(lsoa.__getitem__, stock.lsoa_code[block].tolist()),
+            map(category.__getitem__, stock.category_code[block].tolist()),
+            stock.count[block].tolist(), text.split(b"],["))))
 
 
 def write_stock(
-    stock: StockTable | Iterable[DwellingRecord],
+    records: Iterable[DwellingRecord],
     path: str | Path,
     schema: Mapping[str, str] | None = None,
 ) -> None:
-    """Write a stock in the load_stock format (load . write is an identity)."""
-    stock, cols = as_stock_table(stock), _resolve_schema(schema)
-    _write_rows(path, [cols[f] for f in DEFAULT_STOCK_SCHEMA], stock, range(len(stock)),
-                (stock.demand_before, stock.demand_after, stock.floor_area))
+    """Write records in the load_stock format (load . write is an identity)."""
+    cols, records = _resolve_schema(schema), iter(records)
+    with open(path, "wb") as fh:
+        fh.write(b"".join(_csv_cells(cols[f] for f in DEFAULT_STOCK_SCHEMA))[:-1] + b"\n")
+        # a table of _TEXT_ROWS records at a time, so that no table holds the whole stock
+        while t := StockTable.from_records(islice(records, _TEXT_ROWS)):
+            _write_rows(fh, t, range(len(t)), (t.demand_before, t.demand_after, t.floor_area))
 
 
 def winsorize_stock(

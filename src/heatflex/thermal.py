@@ -202,5 +202,7 @@ def total_installed_thermal_kw(params: ThermalTable) -> float:
 
 def write_params_csv(params: ThermalTable, path: str | Path) -> None:
     """Export derived parameters, one row per stock row with count > 0."""
-    _write_rows(path, ["lsoa_id", "form", "heating", "count", "ql_kw_per_c", "c_kj_per_k", "hp_kw"],
-                params.stock, params.rows, (params.heat_loss, params.capacitance, params.hp_size))
+    with open(path, "wb") as fh:
+        fh.write(b"lsoa_id,form,heating,count,ql_kw_per_c,c_kj_per_k,hp_kw\n")
+        _write_rows(fh, params.stock, params.rows,
+                    (params.heat_loss, params.capacitance, params.hp_size))

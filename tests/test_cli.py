@@ -622,9 +622,10 @@ def test_bad_scenario_exits_1(workspace):
     (SCENARIO_FIXED.replace("[indoor]", "[indoor]\n[scenario]"),
      "section 'scenario' already exists"),
     (SCENARIO_FIXED + "a line with no key\n", "Source contains parsing errors"),
-    (SCENARIO_FIXED.replace("5.0", "5%"),  # read as written: no interpolation error
-     "[scenario] outdoor_temp: could not convert string to float: '5%'"),
-], ids=["repeated key", "no section header", "repeated section", "unparsable line", "percent"])
+    (SCENARIO_FIXED.replace("5.0", "5%"), "'%' must be followed by '%' or '('"),
+    (SCENARIO_FIXED.replace("model = fixed", "model = %(shape)s"), "Bad value substitution"),
+], ids=["repeated key", "no section header", "repeated section", "unparsable line", "percent",
+        "unknown reference"])
 def test_unparsable_scenario_exits_1_naming_the_file(workspace, capsys, text, message):
     # configparser's own errors are configuration errors, like every other
     # fault of the scenario file, not the last-resort exit 3

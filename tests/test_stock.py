@@ -158,10 +158,13 @@ def test_round_trip_identity(tmp_path):
     assert list(load_stock(path)) == records
 
 
-def test_stock_and_params_writers_write_what_csv_writer_writes(tmp_path):
+@pytest.mark.parametrize("text_rows", [4096, 5])
+def test_stock_and_params_writers_write_what_csv_writer_writes(tmp_path, monkeypatch, text_rows):
     # write_stock and write_params_csv write their rows without csv.writer;
     # the bytes must stay those of a writerow loop with repr, whatever the
-    # LSOA id holds and wherever the floats lie
+    # LSOA id holds and wherever the floats lie, whether write_stock is given
+    # records or a table, and however many blocks of records it converts
+    monkeypatch.setattr(stock_module, "_TEXT_ROWS", text_rows)
     ids = ["E01000001", "comma, id", 'quote " id', "new\nline", "carriage\rreturn", " space"]
     values = [(1e16, 1e16, 1e300), (12345.678, float(np.nextafter(1e-4, 0)), 5e-324),
               (1e-4, 1e-5, 101.25), (9.999e15, 5e-324, 0.1)]
@@ -185,6 +188,8 @@ def test_stock_and_params_writers_write_what_csv_writer_writes(tmp_path):
         ([r.lsoa_id, r.category.form.value, r.category.heating.value, r.count,
           repr(r.annual_heat_demand_before), repr(r.annual_heat_demand_after),
           repr(r.floor_area)] for r in records))
+    write_stock(StockTable.from_records(records), tmp_path / "table.csv")
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "stock.csv").read_bytes()
 
     params = derive_all(records, make_region_table(
         {lsoa: ("Wales", "LA") for lsoa in [*ids, "E01000002"]}))
@@ -218,10 +223,10 @@ def test_float_text_spells_every_float_as_repr(json_layout):
         texts = list(float_text(block.T, json=json_layout))
         numbers = b",".join(texts).translate(None, b"[] \n").split(b",")
         assert numbers == [special.get(s, s).encode() for s in map(repr, block.ravel().tolist())]
-        rows = block[:stock_module._TEXT_ROWS].tolist()  # the first block's layout
-        assert texts[0] == (json.dumps([[[rows]]], indent=2) if json_layout else
-                            "[%s]" % ",".join("[%s]" % ",".join(map(repr, r)) for r in rows)
-                            ).encode()
+        rows = block[:stock_module._TEXT_ROWS].tolist()  # the first block's layout, without
+        assert bytes(texts[0]) == (  # the lists around the rows
+            json.dumps([[[rows]]], indent=2)[19:-20] if json_layout else
+            "],[".join(",".join(map(repr, r)) for r in rows)).encode()
     assert len(texts) == 1 and blocks[0].shape[0] > stock_module._TEXT_ROWS
 
 
