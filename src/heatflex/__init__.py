@@ -16,7 +16,6 @@ from .aggregate import (
     Level,
     build_envelope,
     capped_energy,
-    export_plot_grid,
     export_report,
     finite_energy,
     load_report,
@@ -99,7 +98,7 @@ __all__ = [
     "StockTable", "StockVariant", "ThermalParams", "ThermalTable", "TruncatedNormalIndoor",
     "UnresolvedLsoaError",
     "build_envelope", "build_samples", "capped_energy", "cop_at",
-    "default_regions_path", "derive_all", "evaluate", "export_plot_grid",
+    "default_regions_path", "derive_all", "evaluate",
     "export_report", "finite_energy", "flexibility_magnitude", "heat_loss_coefficient",
     "initial_heat_output", "load_region_table", "load_report", "load_stock",
     "read_scenario", "rollup", "run_scenario", "run_stock_scenario", "run_sweep",

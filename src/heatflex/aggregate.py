@@ -41,7 +41,6 @@ from .scenario import FAILED, FINITE, UNBOUNDED, ScenarioRun, _blocks
 from .stock import _csv_cells, float_text
 
 DISPLAY_CAP_S = 86400.0  # 24 h, export/plotting cap only, never used in totals
-_GRID_POINTS_MAX = 1_000_000  # points a plot grid may have; the default one has 1,441
 
 
 class Level(Enum):
@@ -347,27 +346,28 @@ def _export_csv(report: AggregateReport, out_dir: Path) -> list[Path]:
     envelope_path = out_dir / "envelope.csv"
     summary_path = out_dir / "summary.csv"
     written = [envelope_path, summary_path]
+    keys = _csv_cells(report.keys)
 
     with open(envelope_path, "wb") as fh:
         fh.write(b"key,duration_s,power_w\n")
-        for prefix, (a, b) in zip(_csv_cells(report.keys), pairwise(report.offsets.tolist())):
+        for prefix, (a, b) in zip(keys, pairwise(report.offsets.tolist())):
             for text in float_text((report.durations[a:b], report.power[a:b])):  # d,p],[d,p
                 fh.writelines((prefix, text.replace(b"],[", b"\n" + prefix), b"\n"))
 
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["level", "key", *_FIELDS, "excluded_power_w"])
-        for key, row in zip(report.keys, report.summary.tolist()):  # no group has excluded power
-            writer.writerow([report.level.value, key, *map(repr, row), ""])
-        writer.writerow([report.level.value, _TOTAL_KEY, *map(repr, _totals(report)),
-                         repr(report.excluded_power_w)])
+    level = f"{report.level.value},".encode()  # of the cells, only a group key can need quotes
+    with open(summary_path, "wb") as fh:
+        fh.write(",".join(["level", "key", *_FIELDS, "excluded_power_w\n"]).encode())
+        for key, row in zip(keys, report.summary.tolist()):  # no group has excluded power
+            fh.write(level + key + ",".join([*map(repr, row), "\n"]).encode())
+        fh.write(level + ",".join([_TOTAL_KEY, *map(repr, _totals(report)),
+                                   repr(report.excluded_power_w) + "\n"]).encode())
 
     unresolved_path = out_dir / "unresolved.csv"
     unresolved_path.unlink(missing_ok=True)  # else an older copy is read back with this report
     if report.unresolved_lsoas:
-        with open(unresolved_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows([lsoa] for lsoa in ("lsoa_id", *report.unresolved_lsoas))
+        with open(unresolved_path, "wb") as fh:  # csv.writer quotes a lone empty cell
+            fh.writelines(cell[:-1] + b"\n" if cell != b"," else b'""\n'
+                          for cell in _csv_cells(("lsoa_id", *report.unresolved_lsoas)))
         written.append(unresolved_path)
     return written
 
@@ -493,33 +493,3 @@ def _load_csv(out_dir: Path) -> AggregateReport:
                        groups, totals, unresolved_lsoas=unresolved,
                        excluded_power_w=float(totals["excluded_power_w"]))
 
-
-def export_plot_grid(
-    envelope: Envelope,
-    path: str | Path,
-    grid_s: float = 60.0,
-    cap_s: float = DISPLAY_CAP_S,
-) -> Path:
-    """Resample an envelope onto a uniform grid for plot tooling.
-
-    Lossy by construction (fixed grid, durations capped at cap_s); the
-    exact step representation lives in the report exports.
-    """
-    if not 0 < grid_s < np.inf:  # nan fails too
-        raise HeatflexError(f"grid step must be finite and > 0, got {grid_s}")
-    _check_cap(cap_s)
-    if not cap_s / grid_s < _GRID_POINTS_MAX:  # also refuses a step t += grid_s cannot add
-        raise HeatflexError(f"grid step {grid_s} up to {cap_s} gives too many points")
-    # t += grid_s in turn; over so few steps rounding moves t far less than a
-    # step, so the grid ends within one step past cap_s / grid_s
-    grid = np.add.accumulate(np.append(0.0, np.full(int(cap_s / grid_s) + 1, grid_s)))
-    grid = grid[grid <= cap_s]
-    # power_at over the whole grid: the first breakpoint at or after each t
-    steps = np.append(envelope.power, envelope.unbounded_power)
-    power = np.where(grid <= 0, envelope.total_power,
-                     steps[np.searchsorted(envelope.durations, grid)])
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(b"duration_s,power_w\n")
-        fh.writelines(text.replace(b"],[", b"\n") + b"\n" for text in float_text((grid, power)))
-    return path

@@ -241,15 +241,15 @@ def _cmd_synth(args) -> int:
     for flag, value in (("--dwellings", args.dwellings), ("--seed", args.seed)):
         if value < 0:  # both are usage errors, found before anything runs
             raise ConfigError(f"{flag} must be >= 0, got {value}")
-    records, lookup = synth.generate_stock(args.dwellings, args.seed)
-    write_stock(records, args.out)
+    stock, lookup = synth.generate_stock(args.dwellings, args.seed)
+    write_stock(stock, args.out)
     lookup_out = args.lookup_out
     if lookup_out is None:
         out = Path(args.out)
         lookup_out = out.with_name(out.stem + "_lookup.csv")
     synth.write_lookup(lookup, lookup_out)
     if args.verbose:
-        print(f"[heatflex] wrote {len(records)} records to {args.out}, "
+        print(f"[heatflex] wrote {len(stock)} records to {args.out}, "
               f"{len(lookup)} lookup rows to {lookup_out}", file=sys.stderr)
     return EXIT_OK
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .normal import ndtr, ndtri
 from .rc import (INDOOR_TEMP_MAX, INDOOR_TEMP_MIN, ComfortBand, CopCurve, Direction,
                  RcDwelling, cop_at, evaluate)
 from .regions import RegionTable
-from .stock import CATEGORIES, DwellingRecord, StockTable, as_stock_table
+from .stock import CATEGORIES, StockTable
 from .thermal import CapacityLevel, StockVariant, ThermalTable, derive_all
 
 DEFAULT_EXPANSION = 10  # sub-samples per record under a stochastic indoor model
@@ -447,7 +447,7 @@ def _failure(run: ScenarioRun, i: int) -> str:
 
 
 def run_sweep(
-    stock: StockTable | Iterable[DwellingRecord],
+    stock: StockTable,
     regions: RegionTable,
     specs: Sequence[ScenarioSpec],
     direction: Direction,
@@ -466,7 +466,6 @@ def run_sweep(
     """
     if not specs:
         raise ConfigError("a sweep needs at least one scenario")
-    stock = as_stock_table(stock)
     params = samples = indoor = params_key = samples_key = None
     for i, spec in enumerate(specs):
         key = (spec.capacity_level, spec.stock_variant)
@@ -488,7 +487,7 @@ def run_sweep(
 
 
 def run_stock_scenario(
-    stock: StockTable | Iterable[DwellingRecord],
+    stock: StockTable,
     regions: RegionTable,
     spec: ScenarioSpec,
     direction: Direction,

@@ -7,10 +7,10 @@ count, average annual heat demands before/after energy efficiency measures
 The stock is held as columns, one numpy array per field, in a `StockTable`:
 `load_stock` turns each block of CSV rows into arrays before it reads the
 next and checks whole columns at once; `winsorize_stock` clips per category
-with array expressions. A `DwellingRecord` is one row, as `synth`,
-`write_stock` and iterating a table hand it out. Invalid rows are reported
-for the first row that fails, with the message a row-by-row reader would
-give, from that row's cells read again from the file.
+with array expressions. A `DwellingRecord` is one row, as iterating a
+table hands it out. Invalid rows are reported for the first row that
+fails, with the message a row-by-row reader would give, from that row's
+cells read again from the file.
 """
 
 from __future__ import annotations
@@ -200,11 +200,6 @@ class StockTable:
                           np.array(count, np.int64), *(np.array(v, float) for v in values))
 
 
-def as_stock_table(stock: StockTable | Iterable[DwellingRecord]) -> StockTable:
-    """The stock as a StockTable, converting a sequence of records once."""
-    return stock if isinstance(stock, StockTable) else StockTable.from_records(stock)
-
-
 # Logical field -> default CSV column name. A schema mapping passed to
 # load_stock/write_stock overrides individual entries.
 DEFAULT_STOCK_SCHEMA: dict[str, str] = {
@@ -360,13 +355,14 @@ def float_text(columns: Sequence[np.ndarray], json: bool = False) -> Iterator[by
 
 
 def _csv_cells(values: Iterable[str]) -> list[bytes]:
-    """Each value as csv.writer(lineterminator="\n") writes it as one of several
-    fields, with the comma after it, in UTF-8. The terminator decides whether a
-    newline is quoted."""
+    """Each value as csv.writer writes it as one of several fields, with the
+    comma after it, in UTF-8. csv.writer quotes a cell holding \r or \n only
+    if its terminator holds them, so the cells are written ending \r\n and the
+    terminator dropped: every text cell heatflex writes reads back whole."""
     buf = io.StringIO()  # writerow returns the characters it wrote
-    ends = [0, *accumulate(csv.writer(buf, lineterminator="\n").writerow([v, ""]) for v in values)]
+    ends = [0, *accumulate(csv.writer(buf, lineterminator="\r\n").writerow([v, ""]) for v in values)]
     text = buf.getvalue()
-    return [text[a:b - 1].encode() for a, b in zip(ends, ends[1:])]
+    return [text[a:b - 2].encode() for a, b in zip(ends, ends[1:])]
 
 
 def _write_rows(fh, stock: StockTable, rows: Sequence[int], columns: Sequence[np.ndarray]) -> None:
@@ -383,21 +379,20 @@ def _write_rows(fh, stock: StockTable, rows: Sequence[int], columns: Sequence[np
 
 
 def write_stock(
-    records: Iterable[DwellingRecord],
+    stock: StockTable,
     path: str | Path,
     schema: Mapping[str, str] | None = None,
 ) -> None:
-    """Write records in the load_stock format (load . write is an identity)."""
-    cols, records = _resolve_schema(schema), iter(records)
+    """Write a stock in the load_stock format (load . write is an identity)."""
+    cols = _resolve_schema(schema)
     with open(path, "wb") as fh:
         fh.write(b"".join(_csv_cells(cols[f] for f in DEFAULT_STOCK_SCHEMA))[:-1] + b"\n")
-        # a table of _TEXT_ROWS records at a time, so that no table holds the whole stock
-        while t := StockTable.from_records(islice(records, _TEXT_ROWS)):
-            _write_rows(fh, t, range(len(t)), (t.demand_before, t.demand_after, t.floor_area))
+        _write_rows(fh, stock, range(len(stock)),
+                    (stock.demand_before, stock.demand_after, stock.floor_area))
 
 
 def winsorize_stock(
-    stock: StockTable | Iterable[DwellingRecord],
+    stock: StockTable,
     lower_pct: float = 0.01,
     upper_pct: float = 0.99,
 ) -> StockTable:
@@ -414,7 +409,6 @@ def winsorize_stock(
         raise DomainError(
             f"invalid percentile bounds ({lower_pct}, {upper_pct}); need 0 <= lo < hi <= 1"
         )
-    stock = as_stock_table(stock)
     live = stock.count > 0
     columns = {f: getattr(stock, f).copy() for f in ("demand_before", "demand_after", "floor_area")}
     present, first = np.unique(stock.category_code[live], return_index=True)

@@ -9,14 +9,14 @@ deterministic for a given seed.
 
 from __future__ import annotations
 
-import csv
+from array import array
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .regions import load_region_table
-from .stock import DwellingCategory, DwellingForm, DwellingRecord, HeatingSystem
+from .stock import CATEGORIES, DwellingForm, HeatingSystem, StockTable, _csv_cells
 
 _FORM_WEIGHTS = {
     DwellingForm.DETACHED: 0.23,
@@ -48,14 +48,14 @@ def generate_stock(
     seed: int,
     lsoa_count: int | None = None,
     region_names: Sequence[str] | None = None,
-) -> tuple[list[DwellingRecord], list[tuple[str, str, str]]]:
-    """Build (records, lookup_rows) totalling exactly n_dwellings.
+) -> tuple[StockTable, list[tuple[str, str, str]]]:
+    """Build (stock, lookup_rows), the stock totalling exactly n_dwellings.
 
     lookup_rows are (lsoa_id, region, local_authority) tuples cycling the
     LSOAs through the supplied region names (the packaged regions by
     default); each local authority holds LSOAS_PER_LOCAL_AUTHORITY
     consecutive LSOAs of one region. Only non-empty (count > 0) cells are
-    emitted.
+    emitted, so the stock's lsoa_ids are the LSOAs that got dwellings.
     """
     if n_dwellings < 0:
         raise ValueError(f"dwelling count must be >= 0, got {n_dwellings}")
@@ -70,9 +70,8 @@ def generate_stock(
     if not region_names:
         raise ValueError("region_names must name at least one region")
 
-    categories = DwellingCategory.all()
     cat_weights = np.array(
-        [_FORM_WEIGHTS[c.form] * _HEATING_WEIGHTS[c.heating] for c in categories]
+        [_FORM_WEIGHTS[c.form] * _HEATING_WEIGHTS[c.heating] for c in CATEGORIES]
     )
     cat_weights /= cat_weights.sum()
 
@@ -84,33 +83,31 @@ def generate_stock(
         lookup.append((lsoa, region, f"{region} LA {la_index:03d}"))
 
     per_lsoa = rng.multinomial(n_dwellings, np.full(lsoa_count, 1.0 / lsoa_count))
-    records: list[DwellingRecord] = []
+    # the stock's columns, gathered in the order the rows are drawn
+    used: list[str] = []
+    lsoa_code, category_code, counts = array("q"), array("b"), array("q")
+    before, after, area = array("d"), array("d"), array("d")
     for lsoa, lsoa_total in zip(lsoa_ids, per_lsoa):
         if lsoa_total == 0:
             continue
+        used.append(lsoa)
         per_cat = rng.multinomial(int(lsoa_total), cat_weights)
-        for category, count in zip(categories, per_cat):
+        for code, count in enumerate(per_cat.tolist()):
             if count == 0:
                 continue
-            demand_base, area_base = _FORM_BASE[category.form]
-            before = float(demand_base * rng.lognormal(0.0, 0.15))
-            after = float(before * rng.uniform(0.55, 0.85))
-            area = float(area_base * rng.lognormal(0.0, 0.12))
-            records.append(
-                DwellingRecord(
-                    lsoa_id=lsoa,
-                    category=category,
-                    count=int(count),
-                    annual_heat_demand_before=before,
-                    annual_heat_demand_after=after,
-                    floor_area=area,
-                )
-            )
-    return records, lookup
+            demand_base, area_base = _FORM_BASE[CATEGORIES[code].form]
+            before.append(demand_base * rng.lognormal(0.0, 0.15))
+            after.append(before[-1] * rng.uniform(0.55, 0.85))
+            area.append(area_base * rng.lognormal(0.0, 0.12))
+            lsoa_code.append(len(used) - 1)
+            category_code.append(code)
+            counts.append(count)
+    stock = StockTable(tuple(used), np.array(lsoa_code, np.intp), np.array(category_code, np.int8),
+                       np.array(counts, np.int64), *map(np.array, (before, after, area)))
+    return stock, lookup
 
 
 def write_lookup(lookup: Sequence[tuple[str, str, str]], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lsoa_id", "region", "local_authority"])
-        writer.writerows(lookup)
+    cells = _csv_cells(v for row in [("lsoa_id", "region", "local_authority"), *lookup] for v in row)
+    with open(path, "wb") as fh:
+        fh.writelines(b"".join(cells[i:i + 3])[:-1] + b"\n" for i in range(0, len(cells), 3))

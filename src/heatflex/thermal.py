@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .regions import RegionTable
 from .stock import (CATEGORIES, CATEGORY_CODE, DwellingCategory, DwellingRecord, StockTable,
-                    _write_rows, as_stock_table)
+                    _write_rows)
 
 HOURS_PER_DAY = 24.0  # degree days -> degree hours
 
@@ -162,7 +162,8 @@ def derive_all(
     domain of the scalar functions raises their DomainError, for the first
     such row.
     """
-    stock = as_stock_table(stock)
+    if not isinstance(stock, StockTable):  # records: perfbench/worker.py is the last such caller
+        stock = StockTable.from_records(stock)
     rows = np.flatnonzero(stock.count > 0)
     lsoa = stock.lsoa_code[rows]
     used = np.unique(lsoa).tolist()

@@ -341,9 +341,9 @@ def test_criterion_10_envelope_properties():
                 assert summed == pytest.approx(nat_env.power_at(t), rel=1e-6)
 
 
-def _cornwall_negative_mw(records, table) -> float:
+def _cornwall_negative_mw(stock, table) -> float:
     spec = ScenarioSpec(outdoor_temp=5.0, indoor_model=FixedIndoor(19.0))
-    clean = winsorize_stock(records)
+    clean = winsorize_stock(stock)
     params = derive_all(clean, table, spec.capacity_level, spec.stock_variant)
     samples = build_samples(params, spec)
     run = run_scenario(samples, spec, Direction.NEGATIVE)
@@ -354,25 +354,21 @@ def _cornwall_negative_mw(records, table) -> float:
 def test_criterion_11_cornwall_fixture():
     with criterion("11 calibrated Cornwall stock reproduces 457 MW at +5 C"):
         # all-ASHP Cornwall look-alike: one county in the South West region
-        records, lookup = generate_stock(
+        stock, lookup = generate_stock(
             270_000, seed=11, lsoa_count=330, region_names=["South West"]
         )
         table = make_region_table({l: (r, la) for l, r, la in lookup})
 
-        first_pass = _cornwall_negative_mw(records, table)
+        first_pass = _cornwall_negative_mw(stock, table)
         scale = 457.0 / first_pass
         # reverse calibration: scale every heat demand so the pipeline's
         # aggregate lands on the target; linearity of the whole chain
         # (percentile clipping included) preserves the scaling exactly
-        from dataclasses import replace
-        calibrated = [
-            replace(
-                r,
-                annual_heat_demand_before=r.annual_heat_demand_before * scale,
-                annual_heat_demand_after=r.annual_heat_demand_after * scale,
-            )
-            for r in records
-        ]
+        calibrated = replace(
+            stock,
+            demand_before=stock.demand_before * scale,
+            demand_after=stock.demand_after * scale,
+        )
         result = _cornwall_negative_mw(calibrated, table)
         assert result == pytest.approx(457.0, rel=0.05)
         print(f"[acceptance] 11 info: first pass {first_pass:.1f} MW, "

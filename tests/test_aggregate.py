@@ -29,7 +29,6 @@ from heatflex import (
     TruncatedNormalIndoor,
     build_envelope,
     capped_energy,
-    export_plot_grid,
     export_report,
     finite_energy,
     load_report,
@@ -196,7 +195,7 @@ def test_capped_energy_counts_unbounded_at_cap():
     ]
     assert capped_energy(make_run(outcomes), cap_s=3600.0) == pytest.approx(200.0)
     assert capped_energy(make_run(outcomes), cap_s=0.0) == 0.0
-    # the caps export_plot_grid refuses; let through they gave a negative, nan or inf energy
+    # caps that are not finite and >= 0; let through they gave a negative, nan or inf energy
     for cap_s in (-1.0, math.nan, math.inf):
         with pytest.raises(HeatflexError, match="display cap"):
             capped_energy(make_run(outcomes), cap_s=cap_s)
@@ -443,9 +442,10 @@ def test_rollup_peak_memory_per_sample():
 # exports
 # ---------------------------------------------------------------------------
 
-def test_export_round_trip_both_formats(tmp_path):
+def assert_export_round_trip(tmp_path, la, lsoa):
     table, outcomes = la_fixture()
-    stray = (make_sample(weight=1.0, lsoa_id="E01999999"),
+    table.lsoa_to_local_authority["E01000001"] = la
+    stray = (make_sample(weight=1.0, lsoa_id=lsoa),
              outcome(-40.0, Duration.finite(60.0)))
     report = rollup(make_run(outcomes + [stray]), table, Level.LOCAL_AUTHORITY)
 
@@ -454,6 +454,19 @@ def test_export_round_trip_both_formats(tmp_path):
 
     export_report(report, ExportFormat.JSON, tmp_path / "json")
     assert load_report(tmp_path / "json", ExportFormat.JSON) == report
+
+
+def test_export_round_trip_both_formats(tmp_path):
+    assert_export_round_trip(tmp_path, "Cardiff", "E01999999")
+
+
+@pytest.mark.parametrize("la, lsoa", [("a\rb", "a\rb"), ("", "")],
+                         ids=["carriage return", "empty"])
+def test_export_round_trip_awkward_keys(tmp_path, la, lsoa):
+    # a group key holding a bare \r reads back from summary.csv and as an
+    # envelope.csv prefix, and such an LSOA id from unresolved.csv; so does
+    # an empty one, which alone on its row must be quoted
+    assert_export_round_trip(tmp_path, la, lsoa)
 
 
 def test_envelope_columns_are_frozen_float_arrays(tmp_path):
@@ -699,14 +712,16 @@ def json_module_report(report):
 
 
 def csv_writer_envelope(report, path):
-    """envelope.csv as a csv.writer row loop writes it."""
+    """envelope.csv as a csv.writer row loop writes it. csv.writer quotes a
+    cell holding a bare \r only when its terminator holds one, so the rows end
+    \r\n and then \n; no key here holds \r\n."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(["key", "duration_s", "power_w"])
         for key in sorted(report.groups):
             for d, p in report.groups[key].envelope.breakpoints:
                 writer.writerow([key, repr(d), repr(p)])
-    return path.read_bytes()
+    return path.read_bytes().replace(b"\r\n", b"\n")
 
 
 def test_json_export_writes_what_json_module_writes(tmp_path):
@@ -798,50 +813,6 @@ def test_export_empty_report(tmp_path):
     envelope_csv = paths[0].read_text(encoding="utf-8")
     assert envelope_csv == "key,duration_s,power_w\n"
     assert load_report(tmp_path, ExportFormat.CSV) == report
-
-
-def test_plot_grid_export(tmp_path):
-    env = build_envelope(make_run([
-        (make_sample(weight=1.0), outcome(-100.0, Duration.finite(90.0))),
-    ]))
-    path = export_plot_grid(env, tmp_path / "grid.csv", grid_s=60.0, cap_s=180.0)
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0] == "duration_s,power_w"
-    assert len(lines) == 5  # t = 0, 60, 120, 180
-    assert lines[1].endswith("100.0")
-    assert lines[3].endswith("0.0")
-
-
-@pytest.mark.parametrize("grid_s, cap_s", [(7.5, 400.0), (0.1, 31.0), (60.0, 59.0),
-                                           (0.1, 3000.0)])
-def test_plot_grid_equals_power_at_per_point(tmp_path, grid_s, cap_s):
-    # one lookup over the whole grid writes what a power_at call per point
-    # writes, with grid points on, between and beyond the breakpoints; t = 0
-    # reads total_power, set apart from the first step here. 30,000 steps of
-    # 0.1 drift from multiples of 0.1, and the grid must drift the same way
-    env = envelope_of([(30.0, 10.0), (150.0, 6.0), (300.0, 2.5)], 12.0, 1.0)
-    path = export_plot_grid(env, tmp_path / "grid.csv", grid_s=grid_s, cap_s=cap_s)
-    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["duration_s", "power_w"])
-        t = 0.0
-        while t <= cap_s:
-            writer.writerow([repr(t), repr(env.power_at(t))])
-            t += grid_s
-    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
-
-
-@pytest.mark.parametrize("grid_s, cap_s", [(math.nan, 180.0), (math.inf, 180.0),
-                                           (60.0, math.nan), (60.0, -1.0), (1e-12, 86400.0),
-                                           (1e-10, 86400.0)])
-def test_plot_grid_refuses_bad_grids(tmp_path, grid_s, cap_s):
-    # a non-finite step would write a one-point grid, a nan or negative cap a
-    # bare header, a step below half an ulp of the cap never reaches it, and
-    # one just above that asks for 8.6e14 points
-    env = envelope_of([(30.0, 10.0)], 12.0, 1.0)
-    with pytest.raises(HeatflexError):
-        export_plot_grid(env, tmp_path / "grid.csv", grid_s=grid_s, cap_s=cap_s)
-    assert not (tmp_path / "grid.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from heatflex import aggregate, default_regions_path, load_stock, scenario
+from heatflex import DwellingRecord, aggregate, default_regions_path, load_stock, scenario
 from heatflex.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 SCENARIO_FIXED = """\
@@ -437,12 +437,14 @@ def test_non_finite_region_exits_2_naming_file_and_row(workspace, capsys, column
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_cli_builds_no_per_group_objects(workspace, monkeypatch, capsys, command, runs, fmt):
     # the rollup and both exports work on the report's columns; an Envelope
-    # or GroupStats per group is built only for a caller that asks for groups
+    # or GroupStats per group is built only for a caller that asks for groups,
+    # and the stock is read into columns, with no DwellingRecord per row
     def refuse(*args, **kwargs):
         raise AssertionError("per-group object built")
 
     monkeypatch.setattr(aggregate.Envelope, "__post_init__", refuse)
     monkeypatch.setattr(aggregate.GroupStats, "__init__", refuse)
+    monkeypatch.setattr(DwellingRecord, "__post_init__", refuse)
     out = workspace / "out"
     code = main([*command, "--stock", str(workspace / "stock.csv"),
                  "--lookup", str(workspace / "stock_lookup.csv"),
@@ -454,6 +456,25 @@ def test_cli_builds_no_per_group_objects(workspace, monkeypatch, capsys, command
                            * runs)
     with pytest.raises(AssertionError, match="per-group object built"):
         aggregate.load_report(next(out.rglob("*.*")).parent, aggregate.ExportFormat(fmt)).groups
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--dwellings", "2000", "--seed", "3"],
+    ["derive", "--stock", "{work}/stock.csv", "--lookup", "{work}/stock_lookup.csv"],
+], ids=["synth", "derive"])
+def test_cli_builds_no_per_row_objects(workspace, monkeypatch, capsys, command):
+    # synth gathers the stock's columns in the order it draws them, and
+    # derive reads and writes columns: neither builds a DwellingRecord per row
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-row object built")
+
+    monkeypatch.setattr(DwellingRecord, "__post_init__", refuse)
+    out = workspace / "out.csv"
+    code = main([arg.format(work=workspace) for arg in command] + ["--out", str(out)])
+    assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+    assert len(out.read_text(encoding="utf-8").splitlines()) > 1
+    with pytest.raises(AssertionError, match="per-row object built"):
+        next(iter(load_stock(workspace / "stock.csv")))
 
 
 def test_retrofit_compare_flow(workspace):

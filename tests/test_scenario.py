@@ -21,6 +21,7 @@ from heatflex import (
     RcDwelling,
     SampleTable,
     ScenarioSpec,
+    StockTable,
     StockVariant,
     TruncatedNormalIndoor,
     build_envelope,
@@ -509,7 +510,7 @@ def test_positive_magnitude_by_region_at_minus5():
         "E01000002": ("South East", "Oxford"),  # design -1
     })
     spec = spec_at(-5.0)
-    run = run_stock_scenario(records, table, spec, Direction.POSITIVE)
+    run = run_stock_scenario(StockTable.from_records(records), table, spec, Direction.POSITIVE)
     by_lsoa = {s.lsoa_id: o for s, o in pairs_of(run)}
 
     nw = by_lsoa["E01000001"]
@@ -608,7 +609,8 @@ def test_retrofit_directional_effects(small_stock):
 def test_retrofit_noop_when_demands_equal():
     record = make_record(before=9000.0, after=9000.0)
     table = make_region_table({"E01000001": ("Wales", "Cardiff")})
-    before, after = retrofit_runs([record], table, spec_at(5.0), Direction.NEGATIVE)
+    before, after = retrofit_runs(StockTable.from_records([record]), table, spec_at(5.0),
+                                  Direction.NEGATIVE)
     assert pairs_of(before) == pairs_of(after)
 
 

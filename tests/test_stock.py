@@ -152,9 +152,10 @@ def test_round_trip_identity(tmp_path):
         make_record(category=GAS_FLAT, count=0, before=0.0, after=0.0, floor_area=0.0),
         make_record(lsoa_id="W01000009", count=2, before=8000.125, after=7000.0625,
                     floor_area=64.5),
+        make_record(lsoa_id="a\rb", count=3),  # a bare carriage return reads back whole
     ]
     path = tmp_path / "out.csv"
-    write_stock(records, path)
+    write_stock(StockTable.from_records(records), path)
     assert list(load_stock(path)) == records
 
 
@@ -162,8 +163,8 @@ def test_round_trip_identity(tmp_path):
 def test_stock_and_params_writers_write_what_csv_writer_writes(tmp_path, monkeypatch, text_rows):
     # write_stock and write_params_csv write their rows without csv.writer;
     # the bytes must stay those of a writerow loop with repr, whatever the
-    # LSOA id holds and wherever the floats lie, whether write_stock is given
-    # records or a table, and however many blocks of records it converts
+    # LSOA id holds and wherever the floats lie, however many blocks of rows
+    # float_text writes
     monkeypatch.setattr(stock_module, "_TEXT_ROWS", text_rows)
     ids = ["E01000001", "comma, id", 'quote " id', "new\nline", "carriage\rreturn", " space"]
     values = [(1e16, 1e16, 1e300), (12345.678, float(np.nextafter(1e-4, 0)), 5e-324),
@@ -176,20 +177,20 @@ def test_stock_and_params_writers_write_what_csv_writer_writes(tmp_path, monkeyp
                                   floor_area=0.0))
 
     def reference(path, header, rows):
+        # csv.writer quotes a cell holding a bare \r only when its terminator
+        # holds one: the rows end \r\n and then \n; no id here holds \r\n
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\r\n")
             writer.writerow(header)
             writer.writerows(rows)
-        return path.read_bytes()
+        return path.read_bytes().replace(b"\r\n", b"\n")
 
-    write_stock(records, tmp_path / "stock.csv")
+    write_stock(StockTable.from_records(records), tmp_path / "stock.csv")
     assert (tmp_path / "stock.csv").read_bytes() == reference(
         tmp_path / "stock_reference.csv", list(stock_module.DEFAULT_STOCK_SCHEMA.values()),
         ([r.lsoa_id, r.category.form.value, r.category.heating.value, r.count,
           repr(r.annual_heat_demand_before), repr(r.annual_heat_demand_after),
           repr(r.floor_area)] for r in records))
-    write_stock(StockTable.from_records(records), tmp_path / "table.csv")
-    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "stock.csv").read_bytes()
 
     params = derive_all(records, make_region_table(
         {lsoa: ("Wales", "LA") for lsoa in [*ids, "E01000002"]}))
@@ -244,7 +245,7 @@ def stock_with_demands(demands, category=GAS_DETACHED):
 
 def test_winsorize_clamps_to_hand_computed_percentiles():
     demands = [float(i) for i in range(1, 101)]
-    out = list(winsorize_stock(stock_with_demands(demands), 0.01, 0.99))
+    out = list(winsorize_stock(StockTable.from_records(stock_with_demands(demands)), 0.01, 0.99))
 
     lo = percentile_by_hand(demands, 0.01)
     hi = percentile_by_hand(demands, 0.99)
@@ -261,20 +262,20 @@ def test_winsorize_clamps_to_hand_computed_percentiles():
 
 def test_winsorize_identical_values_noop():
     records = stock_with_demands([5000.0] * 20)
-    assert list(winsorize_stock(records)) == records
+    assert list(winsorize_stock(StockTable.from_records(records))) == records
 
 
 def test_winsorize_single_record_warns():
     records = stock_with_demands([5000.0])
     with pytest.warns(UserWarning, match="clipping skipped"):
-        out = winsorize_stock(records)
+        out = winsorize_stock(StockTable.from_records(records))
     assert list(out) == records
 
 
 def test_winsorize_preserves_counts_order_and_length():
     demands = [float(i * 37 % 101 + 1) for i in range(60)]
     records = stock_with_demands(demands)
-    out = winsorize_stock(records)
+    out = winsorize_stock(StockTable.from_records(records))
     assert len(out) == len(records)
     assert [r.count for r in out] == [r.count for r in records]
     assert [r.lsoa_id for r in out] == [r.lsoa_id for r in records]
@@ -284,8 +285,8 @@ def test_winsorize_idempotent_at_order_statistic_positions():
     # 101 records put the 1st/99th percentiles exactly on order statistics,
     # where repeated clipping is a fixed point.
     demands = [float(i) for i in range(1, 102)]
-    once = list(winsorize_stock(stock_with_demands(demands), 0.01, 0.99))
-    twice = list(winsorize_stock(once, 0.01, 0.99))
+    once = list(winsorize_stock(StockTable.from_records(stock_with_demands(demands)), 0.01, 0.99))
+    twice = list(winsorize_stock(StockTable.from_records(once), 0.01, 0.99))
     assert twice == once
     assert max(r.annual_heat_demand_before for r in once) == 100.0
     assert min(r.annual_heat_demand_before for r in once) == 2.0
@@ -296,7 +297,7 @@ def test_winsorize_groups_per_category():
     # detached group should move
     detached = stock_with_demands([1000.0] * 50 + [50000.0], category=GAS_DETACHED)
     flats = stock_with_demands([4000.0] * 30, category=GAS_FLAT)
-    out = winsorize_stock(detached + flats)
+    out = winsorize_stock(StockTable.from_records(detached + flats))
     assert all(r.annual_heat_demand_before == 4000.0 for r in out if r.category == GAS_FLAT)
     assert max(r.annual_heat_demand_before for r in out if r.category == GAS_DETACHED) < 50000.0
 
@@ -304,14 +305,14 @@ def test_winsorize_groups_per_category():
 def test_winsorize_skips_zero_count_rows():
     records = stock_with_demands([float(i) for i in range(1, 101)])
     ghost = DwellingRecord("E01999999", GAS_DETACHED, 0, 1e9, 1e9, 1e9)
-    out = list(winsorize_stock(records + [ghost]))
+    out = list(winsorize_stock(StockTable.from_records(records + [ghost])))
     # the ghost neither moves the bounds nor gets clipped
     assert out[-1] == ghost
-    assert out[:-1] == list(winsorize_stock(records))
+    assert out[:-1] == list(winsorize_stock(StockTable.from_records(records)))
 
 
 def test_winsorize_bad_bounds():
-    records = stock_with_demands([1.0, 2.0])
+    records = StockTable.from_records(stock_with_demands([1.0, 2.0]))
     with pytest.raises(DomainError):
         winsorize_stock(records, 0.5, 0.5)
     with pytest.raises(DomainError):
@@ -416,7 +417,7 @@ def test_columnar_stages_equal_record_reference(rows, level, variant):
     records = [r for r, _, _ in rows]
     with tempfile.TemporaryDirectory() as tmp:
         path, aliased, rewritten = (Path(tmp) / name for name in ("s.csv", "a.csv", "r.csv"))
-        write_stock(records, path)
+        write_stock(StockTable.from_records(records), path)
         write_stock(load_stock(path), rewritten)
         assert rewritten.read_bytes() == path.read_bytes()
         with open(aliased, "w", newline="", encoding="utf-8") as fh:

@@ -112,7 +112,8 @@ def test_retrofit_never_increases_losses(small_stock):
 
 
 def test_national_total_invariant_to_order_and_partition(small_stock):
-    records, table = small_stock
+    stock, table = small_stock
+    records = list(stock)  # rows, to shuffle and split
 
     def total(part):
         return total_installed_thermal_kw(derive_all(part, table))
