@@ -414,11 +414,11 @@ def load_report(path_or_dir: str | Path, fmt: ExportFormat) -> AggregateReport:
 
 @contextmanager
 def _malformed(source: Path):
-    """Raise a missing field, an unreadable value or a value of the wrong type
+    """Raise a missing field, an unreadable value or CSV line or a value of the wrong type
     (a list for a mapping, say) met in the body as a DataValidationError that names source."""
     try:
         yield
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError, csv.Error) as exc:
         raise DataValidationError(f"{source}: malformed export ({type(exc).__name__}: "
                                   f"{exc})") from None
 

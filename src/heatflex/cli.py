@@ -27,7 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import aggregate, config, scenario, synth
-from .errors import ConfigError, DataValidationError, HeatflexError
+from .errors import ConfigError, DataValidationError, HeatflexError, UnresolvedLsoaError
 from .rc import Direction
 from .regions import default_regions_path, load_region_table
 from .scenario import FixedIndoor
@@ -274,6 +274,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"heatflex: configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except UnresolvedLsoaError as exc:  # the stock's LSOAs that the lookup does not map
+        print(f"heatflex: data error: {exc} (stock {args.stock}, lookup {args.lookup})",
+              file=sys.stderr)
+        return EXIT_DATA
     except (DataValidationError, HeatflexError) as exc:
         print(f"heatflex: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

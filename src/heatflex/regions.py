@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     SchemaError,
     UnresolvedLsoaError,
+    csv_errors,
 )
 
 
@@ -84,7 +85,7 @@ def load_region_table(
         regions_path = default_regions_path()
 
     regions: dict[str, RegionInfo] = {}
-    with open(regions_path, newline="", encoding="utf-8") as fh:
+    with open(regions_path, newline="", encoding="utf-8") as fh, csv_errors(regions_path):
         reader = csv.DictReader(fh, restval="")  # a missing cell reads ""
         _require_columns(reader.fieldnames, ("region", "hdd", "design_temp_c"), regions_path)
         for row_no, row in enumerate(reader, start=1):
@@ -113,7 +114,7 @@ def load_region_table(
 
 
 def _load_lookup(table: RegionTable, path: str | Path) -> None:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, csv_errors(path):
         reader = csv.DictReader(fh, restval="")  # a missing cell reads ""
         _require_columns(reader.fieldnames, ("lsoa_id", "region", "local_authority"), path)
         for row_no, row in enumerate(reader, start=1):

@@ -33,8 +33,8 @@ quantile function is `normal.ndtri`, a port of Moshier's Cephes `ndtri`
 
 from __future__ import annotations
 
-import hashlib
 import math
+from _blake2 import blake2b  # what hashlib.blake2b returns; hashlib would also load OpenSSL
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -255,11 +255,6 @@ def sample_indoor_temps(
     return _draw_indoor_temps(model, np.array([stream_key], dtype=np.uint64), n)[0]
 
 
-def _stream_key(ident: str) -> int:
-    """Stable 64-bit key of a record identity, "lsoa|form|heating"; independent of row order."""
-    return int.from_bytes(hashlib.blake2b(ident.encode(), digest_size=8).digest(), "big")
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Everything needed to reproduce one run."""
@@ -335,9 +330,13 @@ def build_samples(
             indoor = np.full(len(rows), model.temp, dtype=float)
     else:
         if indoor is None:
-            idents = [f"{c.form.value}|{c.heating.value}" for c in CATEGORIES]
-            keys = np.array([_stream_key(f"{lsoa_id}|{idents[k]}")
-                             for lsoa_id, k in stock.keys(rows)], dtype=np.uint64)
+            # a record's stream key: the 8-byte blake2b digest of "lsoa|form|heating",
+            # big-endian, so it depends on the record's identity and not on its row
+            ids, idents = stock.lsoa_ids, [f"{c.form.value}|{c.heating.value}" for c in CATEGORIES]
+            keys = np.frombuffer(b"".join([
+                blake2b(f"{ids[c]}|{idents[k]}".encode(), digest_size=8).digest()
+                for c, k in zip(stock.lsoa_code[rows].tolist(), stock.category_code[rows].tolist())
+            ]), ">u8")
             indoor = _draw_indoor_temps(model, keys, expansion).ravel()
         weight /= expansion
         record = np.repeat(record, expansion)

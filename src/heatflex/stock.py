@@ -35,6 +35,7 @@ from .errors import (
     DuplicateRecordError,
     ParseError,
     SchemaError,
+    csv_errors,
 )
 
 
@@ -240,7 +241,7 @@ def load_stock(
     lsoas: dict[str, int] = {}
     categories: dict[tuple[str, str], int] = {}  # raw (form, heating) cells -> code, -1 if unknown
     blocks = [(np.empty(0, np.intp), np.empty(0, np.int8), *[np.empty(0)] * 4)]  # an empty block
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, csv_errors(path):
         rows = _rows(fh, path, cols)
         while block := list(islice(rows, _BLOCK)):
             ids, forms, heatings, *numbers = zip(*block)

@@ -555,10 +555,12 @@ def edit_lines(path, edit):
      "malformed export (ValueError: could not convert string to float: 'x')"),
     ("summary.csv", lambda lines: [lines[0].replace(",key,", ",name,"), *lines[1:]],
      "malformed export (KeyError: 'key')"),
+    ("envelope.csv", lambda lines: [lines[0], '"' + lines[1], *lines[2:], *lines[1:] * 3000],
+     "malformed export (Error: field larger than field limit (131072))"),
 ], ids=["envelope key with no summary row", "repeated summary key", "two levels",
         "total row first", "envelope rows out of key order", "a group's envelope rows apart",
         "envelope row of two cells", "non-numeric envelope cell", "non-numeric summary cell",
-        "summary key column renamed"])
+        "summary key column renamed", "stray quote past the field limit"])
 def test_csv_load_refuses_a_malformed_export(tmp_path, name, edit, message):
     # the loader lays the steps out in summary.csv's key order, so it refuses
     # a file whose keys do not strictly increase, or whose envelope rows are

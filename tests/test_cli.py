@@ -729,6 +729,29 @@ def test_runs_without_scipy(workspace):
         assert path.read_bytes() == (free / path.name).read_bytes(), path.name
 
 
+@pytest.mark.parametrize("command", [
+    ["flex", "--scenario", "pdf.ini", "--direction", "neg"],
+    ["sweep", "--scenario", "pdf.ini", "--direction", "neg", "--axis", "outdoor",
+     "--values=0,5"],
+    ["retrofit-compare", "--scenario", "pdf.ini", "--direction", "neg"],
+    ["derive"],
+], ids=lambda command: command[0])
+def test_runs_without_openssl(workspace, command):
+    # the stream keys take blake2b from CPython's _blake2, the constructor
+    # hashlib.blake2b returns; importing hashlib would also load _hashlib and
+    # map OpenSSL's libcrypto into the process. No command that reads a stock
+    # imports either. synth does, through numpy.random's import of secrets.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    (workspace / "pdf.ini").write_text(SCENARIO_PDF, encoding="utf-8")
+    command = [*command, "--stock", "stock.csv", "--lookup", "stock_lookup.csv"]
+    code = ("import sys\nbefore = set(sys.modules)\nfrom heatflex.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before)))")
+    run = subprocess.run([sys.executable, "-c", code, *command, "--out", "out"], env=env,
+                         cwd=workspace, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (0, f"{EXIT_OK} []\n"), run.stderr
+
+
 def test_data_errors_exit_2(workspace, tmp_path):
     broken = tmp_path / "broken.csv"
     broken.write_text("lsoa_id,form,heating,count\nE01,detached,gas_boiler,1\n",
@@ -742,16 +765,41 @@ def test_data_errors_exit_2(workspace, tmp_path):
     assert code == EXIT_DATA
 
 
-def test_unresolved_lsoa_exits_2(workspace, tmp_path):
-    lookup = tmp_path / "empty_lookup.csv"
+def test_unresolved_lsoa_exits_2(workspace, tmp_path, capsys):
+    # the message lists the unmapped LSOAs and names the stock and the lookup
+    stock, lookup = workspace / "stock.csv", tmp_path / "empty_lookup.csv"
     lookup.write_text("lsoa_id,region,local_authority\n", encoding="utf-8")
+    capsys.readouterr()
     code = main([
         "derive",
-        "--stock", str(workspace / "stock.csv"),
+        "--stock", str(stock),
         "--lookup", str(lookup),
         "--out", str(tmp_path / "p.csv"),
     ])
     assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "heatflex: data error: 3 LSOA(s) have no region mapping: E01000001, E01000002, "
+        f"E01000003 (stock {stock}, lookup {lookup})"]
+
+
+@pytest.mark.parametrize("name", ["stock.csv", "stock_lookup.csv", "regions.csv"])
+def test_stray_quote_exits_2_naming_the_file(workspace, capsys, name):
+    # a quote opened in front of a data row runs its cell to the end of the
+    # file; past the csv module's 131,072-character field limit the reader
+    # raises csv.Error, which must exit 2 as a data error naming the file
+    shutil.copyfile(default_regions_path(), workspace / "regions.csv")
+    path = workspace / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = '"' + lines[2]
+    lines += lines[3:] * (1 + 131_072 // len("\n".join(lines[3:])))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["derive", "--stock", str(workspace / "stock.csv"),
+                 "--lookup", str(workspace / "stock_lookup.csv"),
+                 "--regions", str(workspace / "regions.csv"), "--out", str(workspace / "p.csv")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        f"heatflex: data error: {path}: malformed CSV: field larger than field limit (131072)"]
 
 
 def test_sweep_indoor_axis(workspace):

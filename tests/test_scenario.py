@@ -1,5 +1,6 @@
 """Scenario engine: sampling, determinism, sweeps and scaling laws."""
 
+import _blake2
 import hashlib
 import math
 from dataclasses import fields, replace
@@ -233,6 +234,12 @@ def test_philox_uniforms_equal_generator(keys, n):
     got = scenario._philox_uniforms(keys, n)
     assert got.shape == (len(keys), n)
     assert np.array_equal(got, reference_uniforms(keys, n))
+
+
+def test_stream_keys_hash_with_hashlibs_blake2b():
+    # scenario imports blake2b from _blake2 to keep OpenSSL out of the
+    # process; it is the very constructor hashlib.blake2b returns
+    assert scenario.blake2b is _blake2.blake2b is hashlib.blake2b
 
 
 def record_stream_key(lsoa_id, category):
