@@ -22,7 +22,6 @@ at a time with `stock.float_text`; per-group objects are built only when asked f
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from array import array
@@ -31,6 +30,7 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain, groupby, pairwise
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DataValidationError, HeatflexError
 from .regions import RegionTable
 from .scenario import FAILED, FINITE, UNBOUNDED, ScenarioRun, _blocks
-from .stock import _csv_cells, float_text
+from .stock import _csv_cells, float_text, read_rows
 
 DISPLAY_CAP_S = 86400.0  # 24 h, export/plotting cap only, never used in totals
 
@@ -414,28 +414,29 @@ def load_report(path_or_dir: str | Path, fmt: ExportFormat) -> AggregateReport:
 
 @contextmanager
 def _malformed(source: Path):
-    """Raise a missing field, an unreadable value or CSV line or a value of the wrong type
+    """Raise a missing field, an unreadable value or a value of the wrong type
     (a list for a mapping, say) met in the body as a DataValidationError that names source."""
     try:
         yield
-    except (AttributeError, LookupError, TypeError, ValueError, csv.Error) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise DataValidationError(f"{source}: malformed export ({type(exc).__name__}: "
                                   f"{exc})") from None
 
 
-def _loaded(source: Path, level: Level, keys: list[str], counts, steps, groups, totals,
+def _loaded(source: Path, level: Level, keys: list[str], counts, steps, rows,
             **rest) -> AggregateReport:
     """A report read from source, its values kept as written: group keys[g] has
-    the _FIELDS of groups[g] and the next counts[g] (duration, power) pairs of steps."""
+    the _FIELDS of rows[g] and the next counts[g] (duration, power) pairs of
+    steps, and the totals are the _FIELDS of the last row."""
     for a, b in zip(keys, keys[1:]):
         if not a < b:
             raise DataValidationError(f"{source}: group {b!r} follows {a!r}; keys must rise")
     offsets = np.append(0, np.cumsum(counts, dtype=np.intp))
     durations, power = np.asarray(steps, dtype=np.float64).reshape(offsets[-1], 2).T
     durations.flags.writeable = power.flags.writeable = False
-    summary = np.array([[float(g[name]) for name in _FIELDS] for g in groups]).reshape(-1, 4)
-    return AggregateReport(level, tuple(keys), offsets, durations, power, summary,
-                           *(float(totals[name]) for name in _FIELDS), **rest)
+    *summary, totals = [[float(value) for value in row] for row in rows]
+    return AggregateReport(level, tuple(keys), offsets, durations, power,
+                           np.array(summary).reshape(-1, 4), *totals, **rest)
 
 
 def _load_json(path: Path) -> AggregateReport:
@@ -444,52 +445,47 @@ def _load_json(path: Path) -> AggregateReport:
         groups = doc["groups"].values()
         return _loaded(path, Level(doc["level"]), list(doc["groups"]),
                        [len(g["breakpoints"]) for g in groups],
-                       list(chain.from_iterable(g["breakpoints"] for g in groups)), groups,
-                       doc["totals"], unresolved_lsoas=tuple(doc["unresolved_lsoas"]),
+                       list(chain.from_iterable(g["breakpoints"] for g in groups)),
+                       [[row[name] for name in _FIELDS] for row in (*groups, doc["totals"])],
+                       unresolved_lsoas=tuple(doc["unresolved_lsoas"]),
                        excluded_power_w=float(doc["excluded_power_w"]))
 
 
 def _load_csv(out_dir: Path) -> AggregateReport:
     summary = out_dir / "summary.csv"
-    with open(summary, newline="", encoding="utf-8") as fh, _malformed(summary):
-        rows = list(csv.DictReader(fh))  # a renamed column is a missing field
-        if not rows or rows[-1]["key"] != _TOTAL_KEY:
-            raise DataValidationError(f"{summary}: empty, or not ending in a total row")
-        *groups, totals = rows
-        if len({row["level"] for row in rows}) > 1:
-            raise DataValidationError(f"{summary}: rows of more than one level")
-        for row in groups:
-            if row["excluded_power_w"]:
-                raise DataValidationError(
-                    f"{out_dir}: summary.csv group {row['key']!r} has excluded_power_w "
-                    f"{row['excluded_power_w']!r}; only the {_TOTAL_KEY} row carries it"
-                )
-        keys = [row["key"] for row in groups]
+    rows = list(read_rows(summary, ("level", "key", *_FIELDS, "excluded_power_w")))
+    if not rows or rows[-1][1] != _TOTAL_KEY:
+        raise DataValidationError(f"{summary}: empty, or not ending in a total row")
+    if len({row[0] for row in rows}) > 1:
+        raise DataValidationError(f"{summary}: rows of more than one level")
+    for _, key, *_, excluded in rows[:-1]:
+        if excluded:
+            raise DataValidationError(
+                f"{summary}: group {key!r} has excluded_power_w "
+                f"{excluded!r}; only the {_TOTAL_KEY} row carries it"
+            )
+    keys = [row[1] for row in rows[:-1]]
 
     steps, runs = array("d"), []  # every step in file order; each key's run of rows and its start
     envelope = out_dir / "envelope.csv"
-    with open(envelope, newline="", encoding="utf-8") as fh, _malformed(envelope):
-        reader = csv.reader(fh)
-        next(reader, None)  # the header
-        for key, rows_of_key in groupby(reader, key=lambda row: row[0]):
+    with _malformed(envelope):
+        for key, rows_of_key in groupby(read_rows(envelope, ("key", "duration_s", "power_w")),
+                                        key=itemgetter(0)):
             runs.append((key, len(steps) // 2))
             steps.extend(float(x) for _, d, p in rows_of_key for x in (d, p))
     index = {key: g for g, key in enumerate(keys)}
     at = [index.get(key, -1) for key, _ in runs]
     if any(a >= b for a, b in zip([-1, *at], at)):  # a key unknown, repeated or out of order
-        raise DataValidationError(f"{out_dir / 'envelope.csv'}: keys are not summary.csv's, "
-                                  f"in its order, with each group's rows together")
+        raise DataValidationError(f"{envelope}: keys are not summary.csv's, in its order, "
+                                  f"with each group's rows together (summary {summary})")
     counts = np.zeros(len(keys), dtype=np.intp)
     counts[at] = np.diff([start for _, start in runs] + [len(steps) // 2])
 
-    unresolved: tuple[str, ...] = ()
     unresolved_path = out_dir / "unresolved.csv"
-    if unresolved_path.exists():
-        with open(unresolved_path, newline="", encoding="utf-8") as fh, _malformed(unresolved_path):
-            unresolved = tuple(row["lsoa_id"] for row in csv.DictReader(fh))
+    unresolved = (tuple(lsoa for lsoa, in read_rows(unresolved_path, ("lsoa_id",)))
+                  if unresolved_path.exists() else ())
 
     with _malformed(summary):
-        return _loaded(summary, Level(totals["level"]), keys, counts, steps,
-                       groups, totals, unresolved_lsoas=unresolved,
-                       excluded_power_w=float(totals["excluded_power_w"]))
-
+        return _loaded(summary, Level(rows[-1][0]), keys, counts, steps,
+                       [row[2:6] for row in rows], unresolved_lsoas=unresolved,
+                       excluded_power_w=float(rows[-1][6]))

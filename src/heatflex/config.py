@@ -60,7 +60,7 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
                 raise ConfigError(
                     f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
                 )
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"scenario file not found: {path}")

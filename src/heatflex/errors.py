@@ -4,9 +4,6 @@ The CLI maps these onto exit codes: configuration problems exit 1,
 data validation problems exit 2, anything else exits 3.
 """
 
-import csv
-from contextlib import contextmanager
-
 
 class HeatflexError(Exception):
     """Base class for all package errors."""
@@ -48,13 +45,3 @@ class UnresolvedLsoaError(DataValidationError):
 
 class DomainError(HeatflexError, ValueError):
     """A physical quantity is outside its valid domain."""
-
-
-@contextmanager
-def csv_errors(path):
-    """Raise a csv.Error met in the body (say, a stray quote that runs a cell
-    past the csv module's field limit) as a ParseError naming path."""
-    try:
-        yield
-    except csv.Error as exc:
-        raise ParseError(f"{path}: malformed CSV: {exc}") from None

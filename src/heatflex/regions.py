@@ -8,21 +8,18 @@ their own regions file to rerun with updated climates.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .errors import (
-    DanglingRegionError,
-    DataValidationError,
-    ParseError,
-    SchemaError,
-    UnresolvedLsoaError,
-    csv_errors,
-)
+from .errors import DanglingRegionError, DataValidationError, ParseError, UnresolvedLsoaError
+from .stock import read_rows
+
+# C, the indoor temperature every heat pump is sized to hold at its region's
+# outdoor design temperature, which must therefore lie below it
+DEFAULT_INDOOR_DESIGN_TEMP = 21.0
 
 
 @dataclass(frozen=True)
@@ -85,59 +82,50 @@ def load_region_table(
         regions_path = default_regions_path()
 
     regions: dict[str, RegionInfo] = {}
-    with open(regions_path, newline="", encoding="utf-8") as fh, csv_errors(regions_path):
-        reader = csv.DictReader(fh, restval="")  # a missing cell reads ""
-        _require_columns(reader.fieldnames, ("region", "hdd", "design_temp_c"), regions_path)
-        for row_no, row in enumerate(reader, start=1):
-            name = row["region"].strip()
-            try:
-                hdd = float(row["hdd"])
-                design = float(row["design_temp_c"])
-            except ValueError:
-                raise ParseError(f"{regions_path}: row {row_no}: non-numeric cell") from None
-            if not (math.isfinite(hdd) and math.isfinite(design)):
-                raise ParseError(f"{regions_path}: row {row_no}: non-finite cell")
-            if hdd <= 0:
-                raise DataValidationError(f"{regions_path}: {name}: heating degree days must be > 0")
-            if design >= 21:
-                raise DataValidationError(
-                    f"{regions_path}: {name}: design temperature {design} C is not below 21 C"
-                )
-            if name in regions:
-                raise DataValidationError(f"{regions_path}: duplicate region {name!r}")
-            regions[name] = RegionInfo(name, hdd, design)
+    rows = read_rows(regions_path, ("region", "hdd", "design_temp_c"))
+    for row_no, (name, hdd, design) in enumerate(rows, start=1):
+        name = name.strip()
+        try:
+            hdd = float(hdd)
+            design = float(design)
+        except ValueError:
+            raise ParseError(f"{regions_path}: row {row_no}: non-numeric cell") from None
+        if not (math.isfinite(hdd) and math.isfinite(design)):
+            raise ParseError(f"{regions_path}: row {row_no}: non-finite cell")
+        if hdd <= 0:
+            raise DataValidationError(f"{regions_path}: {name}: heating degree days must be > 0")
+        if design >= DEFAULT_INDOOR_DESIGN_TEMP:
+            raise DataValidationError(
+                f"{regions_path}: {name}: design temperature {design} C is not below "
+                f"{DEFAULT_INDOOR_DESIGN_TEMP:g} C"
+            )
+        if name in regions:
+            raise DataValidationError(f"{regions_path}: duplicate region {name!r}")
+        regions[name] = RegionInfo(name, hdd, design)
 
     table = RegionTable(regions=regions)
     if lsoa_lookup_path is not None:
-        _load_lookup(table, lsoa_lookup_path)
+        _load_lookup(table, lsoa_lookup_path, regions_path)
     return table
 
 
-def _load_lookup(table: RegionTable, path: str | Path) -> None:
-    with open(path, newline="", encoding="utf-8") as fh, csv_errors(path):
-        reader = csv.DictReader(fh, restval="")  # a missing cell reads ""
-        _require_columns(reader.fieldnames, ("lsoa_id", "region", "local_authority"), path)
-        for row_no, row in enumerate(reader, start=1):
-            lsoa = row["lsoa_id"].strip()
-            region = row["region"].strip()
-            la = row["local_authority"].strip() or None  # a blank cell: no local authority
-            if region not in table.regions:
-                raise DanglingRegionError(
-                    f"{path}: row {row_no}: region {region!r} not present in the regions table"
-                )
-            prev = table.lsoa_to_region.get(lsoa)
-            if prev is not None and (prev != region
-                                     or table.lsoa_to_local_authority.get(lsoa) != la):
-                raise DataValidationError(
-                    f"{path}: row {row_no}: conflicting mapping for LSOA {lsoa!r}"
-                )
-            table.lsoa_to_region[lsoa] = region
-            if la is not None:
-                table.lsoa_to_local_authority[lsoa] = la
-
-
-def _require_columns(fieldnames, required, path) -> None:
-    present = fieldnames or []
-    missing = [c for c in required if c not in present]
-    if missing:
-        raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
+def _load_lookup(table: RegionTable, path: str | Path, regions_path: str | Path) -> None:
+    rows = read_rows(path, ("lsoa_id", "region", "local_authority"))
+    for row_no, (lsoa, region, la) in enumerate(rows, start=1):
+        lsoa = lsoa.strip()
+        region = region.strip()
+        la = la.strip() or None  # a blank cell: no local authority
+        if region not in table.regions:
+            raise DanglingRegionError(
+                f"{path}: row {row_no}: region {region!r} not present in the regions table "
+                f"{regions_path}"
+            )
+        prev = table.lsoa_to_region.get(lsoa)
+        if prev is not None and (prev != region
+                                 or table.lsoa_to_local_authority.get(lsoa) != la):
+            raise DataValidationError(
+                f"{path}: row {row_no}: conflicting mapping for LSOA {lsoa!r}"
+            )
+        table.lsoa_to_region[lsoa] = region
+        if la is not None:
+            table.lsoa_to_local_authority[lsoa] = la

@@ -10,7 +10,8 @@ next and checks whole columns at once; `winsorize_stock` clips per category
 with array expressions. A `DwellingRecord` is one row, as iterating a
 table hands it out. Invalid rows are reported for the first row that
 fails, with the message a row-by-row reader would give, from that row's
-cells read again from the file.
+cells read again from the file. `read_rows` reads every CSV file the package
+reads: the stock, the regions table, the LSOA lookup and the CSV exports.
 """
 
 from __future__ import annotations
@@ -25,18 +26,11 @@ from itertools import accumulate, islice
 from json import dumps as _json_dumps  # a float as repr spells it, nan and inf as json does
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DataValidationError,
-    DomainError,
-    DuplicateRecordError,
-    ParseError,
-    SchemaError,
-    csv_errors,
-)
+from .errors import DataValidationError, DomainError, DuplicateRecordError, ParseError, SchemaError
 
 
 class DwellingForm(Enum):
@@ -241,15 +235,14 @@ def load_stock(
     lsoas: dict[str, int] = {}
     categories: dict[tuple[str, str], int] = {}  # raw (form, heating) cells -> code, -1 if unknown
     blocks = [(np.empty(0, np.intp), np.empty(0, np.int8), *[np.empty(0)] * 4)]  # an empty block
-    with open(path, newline="", encoding="utf-8") as fh, csv_errors(path):
-        rows = _rows(fh, path, cols)
-        while block := list(islice(rows, _BLOCK)):
-            ids, forms, heatings, *numbers = zip(*block)
-            pairs = list(zip(forms, heatings))
-            categories.update((p, _category_code(*p)) for p in set(pairs) - categories.keys())
-            blocks.append((
-                np.array([lsoas.setdefault(i.strip(), len(lsoas)) for i in ids], np.intp),
-                np.array([categories[p] for p in pairs], np.int8), *map(_parse_column, numbers)))
+    rows = read_rows(path, cols.values())
+    while block := list(islice(rows, _BLOCK)):
+        ids, forms, heatings, *numbers = zip(*block)
+        pairs = list(zip(forms, heatings))
+        categories.update((p, _category_code(*p)) for p in set(pairs) - categories.keys())
+        blocks.append((
+            np.array([lsoas.setdefault(i.strip(), len(lsoas)) for i in ids], np.intp),
+            np.array([categories[p] for p in pairs], np.int8), *map(_parse_column, numbers)))
     lsoa_code, category_code, count, before, after, area = map(np.concatenate, zip(*blocks))
     del blocks  # the checks below need room for their temporaries
     bad = (category_code < 0) | ~_is_count(count)
@@ -262,24 +255,34 @@ def load_stock(
     duplicate[first] = False
     if (bad | duplicate).any():
         i = int(np.argmax(bad | duplicate))
-        with open(path, newline="", encoding="utf-8") as fh:
-            lsoa_id, *cells = next(islice(_rows(fh, path, cols), i, None))
+        lsoa_id, *cells = next(islice(read_rows(path, cols.values()), i, None))
         raise _row_error(f"{path}: row {i + 1}: ", lsoa_id.strip(), *cells)
     return StockTable(tuple(lsoas), lsoa_code, category_code, count.astype(np.int64),
                       before, after, area)
 
 
-def _rows(fh, path, cols: dict[str, str]) -> Iterator[tuple[str, ...]]:
-    """Each row's cells for cols' fields; a blank line is no row, a missing cell reads ""."""
-    reader = csv.reader(fh)
-    header = next(reader, [])
-    if missing := [c for c in cols.values() if c not in header]:
-        raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
-    position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
-    at = [position[cols[f]] for f in cols]
-    pick, width = itemgetter(*at), max(at) + 1
-    for row in filter(None, reader):
-        yield pick(row if len(row) >= width else row + [""] * (width - len(row)))
+def read_rows(path: str | Path, columns: Collection[str]) -> Iterator[tuple[str, ...]]:
+    """Each data row's cells under the named header columns, in that order, from
+    the UTF-8 CSV at path: every CSV file heatflex reads is read here. A blank
+    line is no row, a missing cell reads "", extra cells are ignored and of a
+    repeated header name the last column counts. A missing column is a
+    SchemaError, and a malformed file (a stray quote that runs a cell past the
+    csv module's field limit, say, or bytes that are not UTF-8) a ParseError,
+    each naming path."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if missing := [c for c in columns if c not in header]:
+                raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
+            position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+            at = [position[c] for c in columns]
+            pick = itemgetter(*at) if len(at) > 1 else lambda row: (row[at[0]],)
+            width = max(at) + 1
+            for row in filter(None, reader):
+                yield pick(row if len(row) >= width else row + [""] * (width - len(row)))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: malformed CSV: {exc}") from None
 
 
 def _category_code(form: str, heating: str) -> int:

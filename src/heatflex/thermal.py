@@ -30,13 +30,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DomainError
-from .regions import RegionTable
+from .regions import DEFAULT_INDOOR_DESIGN_TEMP, RegionTable
 from .stock import (CATEGORIES, CATEGORY_CODE, DwellingCategory, DwellingRecord, StockTable,
                     _write_rows)
 
 HOURS_PER_DAY = 24.0  # degree days -> degree hours
-
-DEFAULT_INDOOR_DESIGN_TEMP = 21.0  # C
 
 
 class CapacityLevel(Enum):

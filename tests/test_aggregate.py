@@ -26,6 +26,7 @@ from heatflex import (
     SampleTable,
     ScenarioRun,
     ScenarioSpec,
+    SchemaError,
     TruncatedNormalIndoor,
     build_envelope,
     capped_energy,
@@ -548,15 +549,15 @@ def edit_lines(path, edit):
     ("envelope.csv", lambda lines: [lines[0], lines[1], lines[3], lines[2]],
      "keys are not summary"),
     ("envelope.csv", lambda lines: [lines[0], "E01000001,600.0", *lines[2:]],
-     "malformed export (ValueError: not enough values to unpack"),
+     "malformed export (ValueError: could not convert string to float: '')"),
     ("envelope.csv", lambda lines: [lines[0], "E01000001,600.0,x", *lines[2:]],
      "malformed export (ValueError: could not convert string to float: 'x')"),
     ("summary.csv", lambda lines: [lines[0], lines[1].replace("14400.0", "x"), *lines[2:]],
      "malformed export (ValueError: could not convert string to float: 'x')"),
     ("summary.csv", lambda lines: [lines[0].replace(",key,", ",name,"), *lines[1:]],
-     "malformed export (KeyError: 'key')"),
+     "missing column(s): key"),
     ("envelope.csv", lambda lines: [lines[0], '"' + lines[1], *lines[2:], *lines[1:] * 3000],
-     "malformed export (Error: field larger than field limit (131072))"),
+     "malformed CSV: field larger than field limit (131072)"),
 ], ids=["envelope key with no summary row", "repeated summary key", "two levels",
         "total row first", "envelope rows out of key order", "a group's envelope rows apart",
         "envelope row of two cells", "non-numeric envelope cell", "non-numeric summary cell",
@@ -566,7 +567,8 @@ def test_csv_load_refuses_a_malformed_export(tmp_path, name, edit, message):
     # a file whose keys do not strictly increase, or whose envelope rows are
     # not the summary keys in that order, each group's rows together; it also
     # refuses a summary of two levels, or one that does not end in its total,
-    # and a row too short or a cell that is not a number
+    # a row too short (its missing cells read as empty), a cell that is not a
+    # number and a missing column
     report = lsoa_report()
     export_report(report, ExportFormat.CSV, tmp_path)
     assert load_report(tmp_path, ExportFormat.CSV) == report
@@ -578,6 +580,28 @@ def test_csv_load_refuses_a_malformed_export(tmp_path, name, edit, message):
         load_report(tmp_path, ExportFormat.CSV)
     assert str(excinfo.value).startswith(f"{tmp_path / name}: ")
     assert message in str(excinfo.value)
+
+
+def test_csv_load_reads_reordered_envelope_columns(tmp_path):
+    # envelope.csv's columns are found by header name: reordered with their
+    # data, they reload to the same report rather than power read as duration
+    report = lsoa_report()
+    export_report(report, ExportFormat.CSV, tmp_path)
+    envelope = tmp_path / "envelope.csv"
+    edit_lines(envelope, lambda lines: [
+        ",".join((key, power, duration))
+        for key, duration, power in (line.split(",") for line in lines)])
+    assert envelope.read_text(encoding="utf-8").splitlines()[0] == "key,power_w,duration_s"
+    assert load_report(tmp_path, ExportFormat.CSV) == report
+
+
+def test_csv_load_refuses_a_renamed_envelope_column(tmp_path):
+    export_report(lsoa_report(), ExportFormat.CSV, tmp_path)
+    envelope = tmp_path / "envelope.csv"
+    edit_lines(envelope, lambda lines: ["key,duration_s,watts", *lines[1:]])
+    with pytest.raises(SchemaError) as excinfo:
+        load_report(tmp_path, ExportFormat.CSV)
+    assert str(excinfo.value) == f"{envelope}: missing column(s): power_w"
 
 
 def test_json_load_refuses_groups_out_of_key_order(tmp_path):

@@ -9,8 +9,10 @@ from heatflex import (
     SchemaError,
     UnresolvedLsoaError,
     load_region_table,
+    thermal,
 )
 from heatflex.cli import EXIT_DATA, EXIT_OK, main
+from heatflex.regions import DEFAULT_INDOOR_DESIGN_TEMP, default_regions_path
 
 # The ten regions of England and Wales: heating degree days (base 15.5 C)
 # and outdoor design temperature, transcribed independently of the shipped
@@ -123,6 +125,35 @@ def test_regions_file_validation(tmp_path):
         load_region_table(missing_col)
 
 
+def test_region_at_the_indoor_design_temperature_is_refused(tmp_path):
+    # a heat pump is sized by the gap between the indoor and the outdoor design
+    # temperatures, so a region at the indoor one is refused, naming the value;
+    # the table and the sizing read the same constant
+    assert thermal.DEFAULT_INDOOR_DESIGN_TEMP is DEFAULT_INDOOR_DESIGN_TEMP == 21.0
+    regions = tmp_path / "regions.csv"
+    regions.write_text(f"region,hdd,design_temp_c\nLondon,1800,{DEFAULT_INDOOR_DESIGN_TEMP}\n",
+                       encoding="utf-8")
+    with pytest.raises(DataValidationError,
+                       match=f"{regions}: London: design temperature 21.0 C is not below 21 C"):
+        load_region_table(regions)
+    regions.write_text("region,hdd,design_temp_c\nLondon,1800,20.9\n", encoding="utf-8")
+    assert load_region_table(regions).regions["London"].design_temp == 20.9
+
+
+def test_dangling_region_names_the_regions_file_too(tmp_path):
+    # a region dropped from the regions file shows as a lookup row naming it:
+    # the error names both files, since either may be the one at fault
+    regions = tmp_path / "regions.csv"
+    regions.write_text("region,hdd,design_temp_c\nLondon,1800,-2\n", encoding="utf-8")
+    lookup = tmp_path / "lookup.csv"
+    lookup.write_text("lsoa_id,region,local_authority\nE01000001,Wales,Cardiff\n",
+                      encoding="utf-8")
+    with pytest.raises(DanglingRegionError) as excinfo:
+        load_region_table(regions, lookup)
+    assert str(excinfo.value) == (
+        f"{lookup}: row 1: region 'Wales' not present in the regions table {regions}")
+
+
 def test_short_regions_row_is_a_non_numeric_cell(tmp_path):
     # a row that stops before design_temp_c reads that cell as "", which is
     # not a number, rather than as None
@@ -149,15 +180,16 @@ def test_short_lookup_rows(tmp_path):
 
 @pytest.mark.parametrize("regions_text, lookup_row, message", [
     ("region,hdd,design_temp_c\nLondon,1800\n", None, "{regions}: row 1: non-numeric cell"),
-    (None, "E01000001", "{lookup}: row 1: region '' not present in the regions table"),
+    (None, "E01000001", "{lookup}: row 1: region '' not present in the regions table {regions}"),
 ])
 def test_short_rows_exit_2_from_the_cli(tmp_path, capsys, regions_text, lookup_row, message):
     stock, lookup = tmp_path / "stock.csv", tmp_path / "stock_lookup.csv"
     assert main(["synth", "--dwellings", "50", "--seed", "1", "--out", str(stock)]) == EXIT_OK
     argv = ["derive", "--stock", str(stock), "--lookup", str(lookup), "--winsorize", "none",
             "--out", str(tmp_path / "params.csv")]
-    regions = tmp_path / "regions.csv"
+    regions = default_regions_path()  # the table a lookup error names, with the lookup
     if regions_text is not None:
+        regions = tmp_path / "regions.csv"
         regions.write_text(regions_text, encoding="utf-8")
         argv += ["--regions", str(regions)]
     if lookup_row is not None:
