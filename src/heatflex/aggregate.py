@@ -10,14 +10,16 @@ It is a non-increasing step function, exact over the distinct finite
 durations; unbounded samples set its floor. Envelope construction is a
 commutative fold, so partial envelopes built in parallel merge losslessly.
 
-Everything here works on the columns of a `ScenarioRun`, and a rollup folds
-every group at once: one sort of the finite rows by (group, duration) gives
-each row its slot, then one pass over the run in blocks of rows adds each row
-into its group's sums and its slot's mass with np.add.at. Sums run left to
-right in sample order (np.add.at and np.cumsum, not the pairwise np.sum), so
-each is the float a loop over the samples would give, whatever the blocks.
-A report holds the fold's columns, which the exporters write a block of rows
-at a time with `stock.float_text`; per-group objects are built only when asked for.
+A `Fold` reads a run as blocks of outcome columns, those
+`scenario.evaluate_blocks` yields or those a `ScenarioRun` holds, once and in
+sample order: it adds each row into its group's sums and keeps each finite
+row's group, duration and mass. Its report sorts those rows by (group,
+duration), which gives each its slot, and adds their masses into their slots
+with np.add.at. Sums run left to right in sample order (np.add.at and
+np.cumsum, not the pairwise np.sum), so each is the float a loop over the
+samples would give, whatever the blocks. A report holds the fold's columns,
+which the exporters write a block of rows at a time with `stock.float_text`;
+per-group objects are built only when asked for.
 """
 
 from __future__ import annotations
@@ -26,18 +28,20 @@ import json
 import math
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain, groupby, pairwise
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DataValidationError, HeatflexError
 from .regions import RegionTable
-from .scenario import FAILED, FINITE, UNBOUNDED, ScenarioRun, _blocks
+from .scenario import (FAILED, FAILED_INDOOR, FINITE, UNBOUNDED, Block, SampleTable,
+                       ScenarioRun, _blocks)
 from .stock import _csv_cells, float_text, read_rows
 
 DISPLAY_CAP_S = 86400.0  # 24 h, export/plotting cap only, never used in totals
@@ -96,95 +100,119 @@ def _ordered_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
-def _power(run: ScenarioRun, rows) -> np.ndarray:  # weights gathered per row
-    return run.samples.weight[run.samples.record[rows]] * np.abs(run.magnitude[rows])
+class Fold:
+    """A run's blocks folded by a spatial level in one pass, all but the steps.
 
+    Failed samples belong to no group, and a group or an unresolved LSOA counts
+    only if a non-failed sample reaches it; the power of the other samples whose
+    LSOA has no key at the level is excluded. failed holds (rows, first row) per
+    failure reason, in code order. The fold holds no sample column: its caller
+    may release the samples before report()."""
 
-def _places(run: ScenarioRun, group_of_record: np.ndarray, n: int
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Each group's count of (group, duration) slots, numbered in that order,
-    and the slot of each finite row in a group, in sample order, which is its
-    place in _fold's step columns. The sort's row-sized arrays are freed on
-    return."""
-    duration = np.empty(np.count_nonzero(run.kind == FINITE))
-    code = np.empty(len(duration), dtype=np.min_scalar_type(n))
-    end = 0
-    for rows in _blocks(len(run)):
-        group = group_of_record[run.samples.record[rows]]
-        finite = (run.kind[rows] == FINITE) & (group >= 0)
-        m = np.count_nonzero(finite)
-        duration[end:end + m], code[end:end + m] = run.duration[rows][finite], group[finite]
-        end += m
-    # by group, then duration; numpy sorts 8- and 16-bit codes stably by radix
-    order = np.argsort(duration[:end])
-    by_group = np.argsort(code[order], kind="stable") if n > 1 else None
-    place, per_group = np.empty(end, dtype=np.int32), np.zeros(n, dtype=np.intp)
-    slots, last = 0, None
-    for block in _blocks(end):
-        rows = order[block] if by_group is None else order[by_group[block]]
-        c, d = code[rows], duration[rows]
-        first = np.empty(len(rows), dtype=bool)  # the rows that open a slot
-        first[0] = last != (c[0], d[0])
-        first[1:] = (c[1:] != c[:-1]) | (d[1:] != d[:-1])
-        place[rows] = np.cumsum(first) + (slots - 1)
-        np.add.at(per_group, c[first], 1)
-        slots, last = slots + np.count_nonzero(first), (c[-1], d[-1])
-    return per_group, place
+    def __init__(self, samples: SampleTable, blocks: Iterable[Block], regions: RegionTable,
+                 level: Level):
+        key_at_level = {Level.NATIONAL: lambda lsoa: "national", Level.LSOA: lambda lsoa: lsoa,
+                        Level.REGION: regions.region_of,
+                        Level.LOCAL_AUTHORITY: regions.local_authority_of}[level]
+        key_of = {code: key_at_level(samples.lsoa_ids[code])
+                  for code in np.unique(samples.lsoa_code).tolist()}
+        keys = tuple(sorted({key for key in key_of.values() if key is not None}))
+        index = {key: g for g, key in enumerate(keys)}  # an LSOA with no key maps to -1
+        group_of_lsoa = np.array([index.get(key_of.get(code), -1)
+                                  for code in range(len(samples.lsoa_ids))], dtype=np.int32)
+        group_of_record = group_of_lsoa[samples.lsoa_code]
+        summary = np.zeros((len(keys), len(_FIELDS)))  # all but magnitude_at_0_w, added up here
+        installed, _, unbounded, energy = summary.T  # its columns, as views
+        installed_of_record = samples.weight * (samples.hp_size * 1000.0)
+        used = np.zeros(len(samples.weight), dtype=bool)  # records a non-failed sample reaches
+        failed = {FAILED: [0, 0], FAILED_INDOOR: [0, 0]}  # reason: [rows, first row]
+        code_type, excluded, signs = np.min_scalar_type(len(keys)), 0.0, np.zeros(2, bool)
+        finite = [(np.empty(0, code_type), np.empty(0), np.empty(0))]  # never an empty list
+        for rows, magnitude, duration, kind in blocks:
+            signs |= (magnitude > 0).any(), (magnitude < 0).any()  # any positive, any negative
+            rec, ok = samples.record[rows], kind < FAILED
+            used[rec[ok]] = True
+            for reason, counted in failed.items() if not ok.all() else ():
+                hits = kind == reason
+                if hits.any() and not counted[0]:
+                    counted[1] = rows.start + int(hits.argmax())
+                counted[0] += int(np.count_nonzero(hits))
+            mass, group = samples.weight[rec] * np.abs(magnitude), group_of_record[rec]
+            member = ok & (group >= 0)
+            np.add.at(installed, group[member], installed_of_record[rec[member]])
+            excluded = _ordered_sum(np.append(excluded, mass[ok & (group < 0)]))
+            floor = member & (kind == UNBOUNDED)
+            np.add.at(unbounded, group[floor], mass[floor])
+            steps = member & (kind == FINITE)
+            group, duration, mass = group[steps], duration[steps], mass[steps]
+            np.add.at(energy, group, mass * duration / 3600.0)
+            finite.append((group.astype(code_type), duration, mass))
+        if signs.all():
+            raise ValueError("outcomes mix demand-increase and demand-reduction services")
+        reached = np.unique(samples.lsoa_code[used])  # the LSOAs a non-failed sample reaches
+        self.level, self.keys, self.summary, self.excluded_power_w = level, keys, summary, excluded
+        self.reported = np.isin(np.arange(len(keys)), group_of_lsoa[reached])  # groups reached
+        self.unresolved_lsoas = tuple(sorted(samples.lsoa_ids[code] for code in reached.tolist()
+                                             if key_of[code] is None))
+        self.failed, self.finite = [(n, first) for n, first in failed.values() if n], finite
 
+    def report(self) -> AggregateReport:
+        """The report; the fold hands its finite rows to the sort, so it gives it once."""
+        finite, self.finite = self.finite, []
+        code = np.concatenate([c for c, _, _ in finite])
+        duration = np.concatenate([d for _, d, _ in finite])
+        masses = [mass for _, _, mass in finite]
+        del finite  # the duration blocks go: their concatenation is the one sorted
+        # by group, then duration; numpy sorts 8- and 16-bit codes stably by radix
+        order = np.argsort(duration)
+        by_group = np.argsort(code[order], kind="stable") if len(self.keys) > 1 else None
+        place, per_group = np.empty(len(duration), np.int32), np.zeros(len(self.keys), np.intp)
+        slots, last = 0, None
+        for block in _blocks(len(duration)):
+            rows = order[block] if by_group is None else order[by_group[block]]
+            c, d = code[rows], duration[rows]
+            first = np.empty(len(rows), dtype=bool)  # the rows that open a slot
+            first[0] = last != (c[0], d[0])
+            first[1:] = (c[1:] != c[:-1]) | (d[1:] != d[:-1])
+            place[rows] = np.cumsum(first) + (slots - 1)
+            np.add.at(per_group, c[first], 1)
+            slots, last = slots + np.count_nonzero(first), (c[-1], d[-1])
+        order = by_group = code = rows = None  # rows may be a view of order
+        per_group, summary = per_group[self.reported], self.summary[self.reported]
+        offsets = np.append(0, np.cumsum(per_group))
+        durations = np.zeros(offsets[-1])
+        durations[place] = duration  # every row of a slot has its duration
+        del duration
+        power, end = np.zeros(offsets[-1]), 0
+        for mass in masses:  # in sample order; np.add.at adds in index order, as a loop would
+            np.add.at(power, place[end:end + len(mass)], mass)
+            end += len(mass)
 
-def _fold(run: ScenarioRun, group_of_record: np.ndarray, level: Level,
-          keys: tuple[str, ...]) -> AggregateReport:
-    """The report of one run over the groups of the sorted keys. group_of_record
-    holds each record's group, an index into keys, or -1 for none; failed rows
-    are in none, and the power of the other rows in none is excluded."""
-    if (run.magnitude > 0).any() and (run.magnitude < 0).any():
-        raise ValueError("outcomes mix demand-increase and demand-reduction services")
-    per_group, place = _places(run, group_of_record, len(keys))
-    offsets = np.append(0, np.cumsum(per_group))
-
-    # one pass in sample order; np.add.at adds in index order, as a loop would
-    power, durations, excluded, end = np.zeros(offsets[-1]), np.zeros(offsets[-1]), 0.0, 0
-    summary = np.zeros((len(keys), len(_FIELDS)))
-    installed, magnitude, unbounded, energy = summary.T  # its columns, as views
-    installed_of_record = run.samples.weight * (run.samples.hp_size * 1000.0)
-    for rows in _blocks(len(run)):
-        rec, kind, mass = run.samples.record[rows], run.kind[rows], _power(run, rows)
-        group = group_of_record[rec]
-        member = (kind < FAILED) & (group >= 0)
-        np.add.at(installed, group[member], installed_of_record[rec[member]])
-        excluded = _ordered_sum(np.append(excluded, mass[(kind < FAILED) & (group < 0)]))
-        floor = member & (kind == UNBOUNDED)
-        np.add.at(unbounded, group[floor], mass[floor])
-        finite = member & (kind == FINITE)
-        m = np.count_nonzero(finite)
-        at, d, mass = place[end:end + m], run.duration[rows][finite], mass[finite]
-        end += m
-        np.add.at(power, at, mass)
-        durations[at] = d  # every row of a slot has its duration
-        np.add.at(energy, group[finite], mass * d / 3600.0)
-
-    # power at each duration: the floor plus the mass at it and at every
-    # longer duration, added from the longest duration down. Once the floor is
-    # in the mass at its group's longest duration (m + floor, the float floor
-    # + m is), a group read backwards is one running sum in place on a reversed
-    # view (np.add.accumulate, what np.cumsum calls, without its overhead)
-    filled = per_group > 0  # the groups with a finite duration
-    power[offsets[1:][filled] - 1] += unbounded[filled]
-    backwards = power[::-1]
-    for a, b in zip((len(power) - offsets[1:]).tolist(), (len(power) - offsets[:-1]).tolist()):
-        sums = backwards[a:b]
-        np.add.accumulate(sums, out=sums)
-    durations.flags.writeable = power.flags.writeable = False
-    magnitude[:] = unbounded  # the power at t = 0: the first step, else the floor
-    magnitude[filled] = power[offsets[:-1][filled]]
-    return AggregateReport(level, keys, offsets, durations, power, summary,
-                           *map(_ordered_sum, summary.T), excluded_power_w=excluded)
+        # power at each duration: the floor plus the mass at it and at every
+        # longer duration, added from the longest duration down. Once the floor is
+        # in the mass at its group's longest duration (m + floor, the float floor
+        # + m is), a group read backwards is one running sum in place on a reversed
+        # view (np.add.accumulate, what np.cumsum calls, without its overhead)
+        _, magnitude, unbounded, _ = summary.T  # its columns, as views
+        filled = per_group > 0  # the groups with a finite duration
+        power[offsets[1:][filled] - 1] += unbounded[filled]
+        backwards = power[::-1]
+        for a, b in zip((len(power) - offsets[1:]).tolist(), (len(power) - offsets[:-1]).tolist()):
+            sums = backwards[a:b]
+            np.add.accumulate(sums, out=sums)
+        durations.flags.writeable = power.flags.writeable = False
+        magnitude[:] = unbounded  # the power at t = 0: the first step, else the floor
+        magnitude[filled] = power[offsets[:-1][filled]]
+        return AggregateReport(self.level, tuple(k for k, r in zip(self.keys, self.reported) if r),
+                               offsets, durations, power, summary,
+                               *map(_ordered_sum, summary.T),
+                               self.unresolved_lsoas, self.excluded_power_w)
 
 
 def build_envelope(run: ScenarioRun) -> Envelope:
     """Exact step envelope of one direction's outcomes."""
-    report = _fold(run, np.zeros(len(run.samples.weight), np.int32), Level.NATIONAL, ("national",))
-    return report.groups["national"].envelope
+    groups = rollup(run, RegionTable({}), Level.NATIONAL).groups  # none if every sample failed
+    return groups["national"].envelope if groups else Envelope(np.empty(0), np.empty(0), 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -202,17 +230,12 @@ class FiniteEnergy:
 
 def finite_energy(run: ScenarioRun) -> FiniteEnergy:
     """Sum of weight * |magnitude| * duration over finite samples, in Wh."""
-    report = _fold(run, np.zeros(len(run.samples.weight), np.int32), Level.NATIONAL, ("national",))
+    report = rollup(run, RegionTable({}), Level.NATIONAL)
     return FiniteEnergy(
         energy_wh=report.total_finite_energy_wh,
         unbounded_count=int(np.count_nonzero(run.kind == UNBOUNDED)),
         unbounded_power_w=report.total_unbounded_w,
     )
-
-
-def _check_cap(cap_s: float) -> None:
-    if not 0 <= cap_s < np.inf:  # nan fails too
-        raise HeatflexError(f"display cap must be finite and >= 0, got {cap_s}")
 
 
 def capped_energy(run: ScenarioRun, cap_s: float = DISPLAY_CAP_S) -> float:
@@ -221,10 +244,12 @@ def capped_energy(run: ScenarioRun, cap_s: float = DISPLAY_CAP_S) -> float:
     Counts unbounded samples at the cap. Only meaningful for plotting and
     informal comparisons; totals and reports use finite_energy.
     """
-    _check_cap(cap_s)
+    if not 0 <= cap_s < np.inf:  # nan fails too
+        raise HeatflexError(f"display cap must be finite and >= 0, got {cap_s}")
     counted = (run.kind == FINITE) | (run.kind == UNBOUNDED)
     capped = np.minimum(run.duration[counted], cap_s)  # unbounded: inf -> cap_s
-    return _ordered_sum(_power(run, counted) * capped / 3600.0)
+    power = run.samples.weight[run.samples.record[counted]] * np.abs(run.magnitude[counted])
+    return _ordered_sum(power * capped / 3600.0)
 
 
 @dataclass(frozen=True)
@@ -275,36 +300,10 @@ class AggregateReport:
                 in zip(self.keys, bounds, bounds[1:], self.summary.tolist())}
 
 
-def _lsoa_group_key(lsoa_id: str, regions: RegionTable, level: Level) -> str | None:
-    if level is Level.NATIONAL:
-        return "national"
-    if level is Level.LSOA:
-        return lsoa_id
-    if level is Level.REGION:
-        return regions.region_of(lsoa_id)
-    return regions.local_authority_of(lsoa_id)
-
-
 def rollup(run: ScenarioRun, regions: RegionTable, level: Level) -> AggregateReport:
-    """Group outcomes by the requested spatial level and summarise each group.
-
-    Failed samples belong to no group. Samples whose LSOA cannot be resolved
-    at the requested level are listed and their power reported as excluded;
-    the run continues without them. The group key is looked up once per
-    distinct LSOA and mapped to groups once per record; every group is then
-    folded from one sort and one pass over the run, a block of rows at a time.
-    """
-    samples = run.samples
-    used = np.bincount(samples.record[run.kind < FAILED], minlength=len(samples.lsoa_code)) > 0
-    key_of = {code: _lsoa_group_key(samples.lsoa_ids[code], regions, level)
-              for code in np.unique(samples.lsoa_code[used]).tolist()}
-    keys = tuple(sorted({key for key in key_of.values() if key is not None}))
-    index = {key: g for g, key in enumerate(keys)}  # an LSOA with no key maps to -1
-    group_of_lsoa = np.array([index.get(key_of.get(code), -1)
-                              for code in range(len(samples.lsoa_ids))], dtype=np.int32)
-    report = _fold(run, group_of_lsoa[samples.lsoa_code], level, keys)
-    return replace(report, unresolved_lsoas=tuple(sorted(
-        samples.lsoa_ids[code] for code, key in key_of.items() if key is None)))
+    """Group outcomes by the requested spatial level and summarise each group:
+    the fold of the run's held blocks."""
+    return Fold(run.samples, run.blocks(), regions, level).report()
 
 
 class ExportFormat(Enum):

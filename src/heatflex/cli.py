@@ -9,8 +9,10 @@ Subcommands:
 
 flex, sweep and retrofit-compare share one path: each builds a list of
 (output subdirectory, scenario) jobs, every sweep value parsed and checked
-before anything runs, and scenario.run_sweep evaluates the list while each
-run is exported as soon as it is done.
+before anything runs. The sweep engine builds each job's samples, reusing
+what consecutive jobs share; aggregate.fold folds the kernel's blocks as
+scenario.evaluate_blocks yields them, so no outcome column of the whole run
+is held, and each run is exported as soon as it is done.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data validation
 error, 3 runtime error.
@@ -186,21 +188,25 @@ def _run_jobs(args, jobs: list[tuple[str, scenario.ScenarioSpec]]) -> int:
         raise ConfigError(f"--expansion must be >= 1, got {args.expansion}")
     records, regions = _load_inputs(args)
     level, fmt = _LEVELS[args.level], aggregate.ExportFormat(args.format)
-    runs = scenario.run_sweep(records, regions, [spec for _, spec in jobs],
-                              _DIRECTIONS[args.direction], args.expansion)
+    direction = _DIRECTIONS[args.direction]
+    specs = scenario._sweep_samples(records, regions, [spec for _, spec in jobs], args.expansion)
     for subdir, _ in jobs:
         with _stage(args.verbose, f"evaluate {subdir}".rstrip()) as done:
-            run = next(runs)
-            failures = run.failures()
-            done(f"{len(run) - sum(rows for rows, _ in failures)} outcomes")
+            samples, spec = next(specs)
+            fold = aggregate.Fold(samples, scenario.evaluate_blocks(samples, spec, direction),
+                                  regions, level)
+            failures = [(rows, scenario.failure_message(samples, spec, direction, first))
+                        for rows, first in fold.failed]
+            done(f"{len(samples) - sum(rows for rows, _ in failures)} outcomes")
+            del samples  # the last spec's samples go before the sort
         with _stage(args.verbose, "aggregate") as done:
-            report = aggregate.rollup(run, regions, level)
+            report = fold.report()
             done(f"{len(report.keys)} group(s)")
         with _stage(args.verbose, "export"):
             aggregate.export_report(report, fmt, Path(args.out) / subdir)
         if failures:
             _report_failures(failures)
-        del run, report  # free this run before the next one is evaluated
+        del fold, report  # free this run before the next one is evaluated
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ import configparser
 import math
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .rc import ComfortBand, CopCurve
 from .scenario import FixedIndoor, ScenarioSpec, TruncatedNormalIndoor
 from .thermal import CapacityLevel, StockVariant
@@ -48,49 +48,50 @@ _SECTIONS = {
 
 
 def read_scenario(path: str | Path) -> ScenarioSpec:
+    """The spec a scenario file describes; any refusal is a ConfigError that names the file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        read = parser.read(path, encoding="utf-8")
-        for section in parser.sections():
-            if section not in _SECTIONS:
-                raise ConfigError(f"{path}: unknown section [{section}]")
-            # items interpolates each value: a bad %(name)s raises here, not later
-            unknown = {key for key, _ in parser.items(section)} - _SECTIONS[section]
-            if unknown:
-                raise ConfigError(
-                    f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
-                )
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if not read:
-        raise ConfigError(f"scenario file not found: {path}")
+        if parser.read(path, encoding="utf-8"):
+            return _spec(parser)
+    except (configparser.Error, UnicodeDecodeError, ConfigError, DomainError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None  # DomainError: an unknown capacity level
+    raise ConfigError(f"scenario file not found: {path}")
+
+
+def _spec(parser: configparser.ConfigParser) -> ScenarioSpec:
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        # items interpolates each value: a bad %(name)s raises here, not later
+        unknown = {key for key, _ in parser.items(section)} - _SECTIONS[section]
+        if unknown:
+            raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
     for required in ("scenario", "indoor"):
         if required not in parser:
-            raise ConfigError(f"{path}: missing required section [{required}]")
+            raise ConfigError(f"missing required section [{required}]")
 
     sc = parser["scenario"]
     if "outdoor_temp" not in sc:
-        raise ConfigError(f"{path}: [scenario] needs outdoor_temp")
-    outdoor = _number(sc, "outdoor_temp", "", path)
-    uptake = _number(sc, "uptake_fraction", "1.0", path)
+        raise ConfigError("[scenario] needs outdoor_temp")
+    outdoor = _number(sc, "outdoor_temp", "")
+    uptake = _number(sc, "uptake_fraction", "1.0")
     variant_token = sc.get("stock_variant", "before").strip().lower()
     try:
         variant = StockVariant(variant_token)
     except ValueError:
-        raise ConfigError(f"{path}: unknown stock_variant {variant_token!r}") from None
+        raise ConfigError(f"unknown stock_variant {variant_token!r}") from None
     level = CapacityLevel.parse(sc.get("capacity_level", "medium"))
 
-    indoor = _read_indoor(parser["indoor"], path)
+    indoor = _read_indoor(parser["indoor"])
 
     band = ComfortBand()
     if "comfort" in parser:
         cf = parser["comfort"]
-        band = ComfortBand(low=_number(cf, "low", "18.0", path),
-                           high=_number(cf, "high", "24.0", path))
+        band = ComfortBand(low=_number(cf, "low", "18.0"), high=_number(cf, "high", "24.0"))
 
     curve = CopCurve.default()
     if "cop" in parser and "points" in parser["cop"]:
-        curve = _parse_cop_points(parser["cop"]["points"], path)
+        curve = _parse_cop_points(parser["cop"]["points"])
 
     return ScenarioSpec(
         outdoor_temp=outdoor,
@@ -111,33 +112,33 @@ def finite_float(raw: str) -> float:
     return value
 
 
-def _number(section, key: str, default: str, path) -> float:
+def _number(section, key: str, default: str) -> float:
     """section[key], or default when absent, as a finite float."""
     try:
         return finite_float(section.get(key, default))
     except ValueError as exc:
-        raise ConfigError(f"{path}: [{section.name}] {key}: {exc}") from None
+        raise ConfigError(f"[{section.name}] {key}: {exc}") from None
 
 
-def _read_indoor(section, path):
+def _read_indoor(section):
     model = section.get("model", "").strip().lower()
     try:
         if model == "fixed":
-            return FixedIndoor(temp=_number(section, "temp", "19.0", path))
+            return FixedIndoor(temp=_number(section, "temp", "19.0"))
         if model == "truncated_normal":
             return TruncatedNormalIndoor(
-                mean=_number(section, "mean", "19.0", path),
-                sd=_number(section, "sd", "2.5", path),
-                low=_number(section, "low", "14.0", path),
-                high=_number(section, "high", "24.0", path),
+                mean=_number(section, "mean", "19.0"),
+                sd=_number(section, "sd", "2.5"),
+                low=_number(section, "low", "14.0"),
+                high=_number(section, "high", "24.0"),
                 seed=int(section.get("seed", "0")),
             )
     except ValueError as exc:  # the seed
-        raise ConfigError(f"{path}: [indoor]: {exc}") from None
-    raise ConfigError(f"{path}: [indoor] model must be 'fixed' or 'truncated_normal'")
+        raise ConfigError(f"[indoor]: {exc}") from None
+    raise ConfigError("[indoor] model must be 'fixed' or 'truncated_normal'")
 
 
-def _parse_cop_points(raw: str, path) -> CopCurve:
+def _parse_cop_points(raw: str) -> CopCurve:
     points = []
     for token in raw.split(","):
         token = token.strip()
@@ -147,7 +148,7 @@ def _parse_cop_points(raw: str, path) -> CopCurve:
             temp_s, cop_s = token.split(":")
             points.append((finite_float(temp_s), finite_float(cop_s)))
         except ValueError:
-            raise ConfigError(f"{path}: [cop] points: bad COP point {token!r}, "
+            raise ConfigError(f"[cop] points: bad COP point {token!r}, "
                               "expected finite temp:cop") from None
     return CopCurve(points=tuple(points))
 

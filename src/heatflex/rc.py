@@ -68,7 +68,7 @@ class RcDwelling:
 
     @classmethod
     def from_params(cls, params: ThermalParams) -> "RcDwelling":
-        # kW/C -> C/W, kJ/K -> J/K, kW -> W, as run_scenario, _failure and rollup do inline
+        # kW/C -> C/W, kJ/K -> J/K, kW -> W, as evaluate_blocks, failure_message and Fold do inline
         return cls(
             resistance=1.0 / (params.heat_loss * 1000.0),
             capacitance=params.capacitance * 1000.0,

@@ -3,20 +3,21 @@
 A scenario fixes the outdoor temperature, the indoor temperature model
 (a single shared value or a truncated normal draw per dwelling), the stock
 variant, the thermal capacity level and the heat pump uptake fraction, then
-evaluates the RC core over the live rows of a stock. `run_sweep` is the one
-run engine: it evaluates a list of scenarios in order (a capacity, outdoor
-or indoor sweep, a before/after retrofit pair, or a single scenario),
-derives parameters only when a scenario changes them and draws indoor
-temperatures only when it changes the indoor model.
+evaluates the RC core over the live rows of a stock. One sweep engine builds
+the samples of a list of scenarios in order (a capacity, outdoor or indoor
+sweep, a before/after retrofit pair, or a single scenario), deriving
+parameters only when a scenario changes them and drawing indoor
+temperatures only when it changes the indoor model; `run_sweep` runs each.
 
 Stock, parameters, samples and outcomes are all columns, one numpy array
 per field. `build_samples` keeps the live rows of a `ThermalTable` and its
 stock once, as the record columns of a `SampleTable`, and gives a sample
-only its record's index and its indoor temperature; `run_scenario`
-evaluates the table in row blocks with masked array expressions into a
-`ScenarioRun`, so no temporary grows with the table. The kernel does the
-float operations of `rc.evaluate` in the same order, so every row equals
-what the scalar functions in `rc`, kept as the reference, return for it.
+only its record's index and its indoor temperature. The one kernel,
+`evaluate_blocks`, evaluates the table in row blocks with masked array
+expressions and yields each block's outcome columns, which `run_scenario`
+holds as a `ScenarioRun` and the CLI folds as they come; no temporary grows
+with the table. It does the float operations of `rc.evaluate` in the same
+order, so every row equals what the scalar reference functions in `rc` return.
 
 Randomness is reproducible and order-independent: each stock record owns a
 counter-based Philox stream keyed by a stable hash of its (LSOA, category)
@@ -345,6 +346,7 @@ def build_samples(
 
 
 ZERO, FINITE, UNBOUNDED, FAILED, FAILED_INDOOR = range(5)  # codes of ScenarioRun.kind
+Block = tuple[slice, np.ndarray, np.ndarray, np.ndarray]  # rows, magnitude, duration, kind
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,17 +374,23 @@ class ScenarioRun:
         return replace(self, samples=self.samples[rows], magnitude=self.magnitude[rows],
                        duration=self.duration[rows], kind=self.kind[rows])
 
+    def blocks(self) -> Iterator[Block]:
+        """The held columns as the blocks evaluate_blocks yields."""
+        return ((rows, self.magnitude[rows], self.duration[rows], self.kind[rows])
+                for rows in _blocks(len(self)))
+
     def failures(self) -> list[tuple[int, str]]:
         """(rows, rc's message for the first of them) per failure reason, in code order."""
         masks = (self.kind == code for code in (FAILED, FAILED_INDOOR))  # one at a time
-        return [(int(np.count_nonzero(m)), _failure(self, int(m.argmax())))
+        return [(int(np.count_nonzero(m)),
+                 failure_message(self.samples, self.spec, self.direction, int(m.argmax())))
                 for m in masks if m.any()]
 
 
-def run_scenario(
-    samples: SampleTable, spec: ScenarioSpec, direction: Direction
-) -> ScenarioRun:
-    """Evaluate every sample at the scenario's outdoor temperature.
+def evaluate_blocks(samples: SampleTable, spec: ScenarioSpec,
+                    direction: Direction) -> Iterator[Block]:
+    """Evaluate every sample at the scenario's outdoor temperature: yields each
+    block of rows, in order, with its outcome columns as ScenarioRun holds them.
 
     Each row gets what rc.evaluate returns for its dwelling: the array
     expressions below repeat its float operations in its order, and
@@ -391,16 +399,13 @@ def run_scenario(
     size, an indoor temperature outside [INDOOR_TEMP_MIN, INDOOR_TEMP_MAX]
     or nan) gets the code of the first check rc fails, FAILED or
     FAILED_INDOOR, instead of aborting the run. Rows are independent, so
-    running the parts of any partition and concatenating gives the same run.
+    evaluating the parts of any partition gives the same rows.
     """
     band, outdoor = spec.comfort_band, spec.outdoor_temp
     limit = band.high if direction is Direction.POSITIVE else band.low
     cop = cop_at(spec.cop_curve, outdoor)
-    magnitude, duration = np.empty(len(samples)), np.empty(len(samples))
-    kind = np.empty(len(samples), dtype=np.int8)
     for rows in _blocks(len(samples)):  # the temporaries stay block-sized
         rec, indoor = samples.record[rows], samples.indoor_temp[rows]
-        m, d, k = magnitude[rows], duration[rows], kind[rows]  # views, written in place
         with np.errstate(all="ignore"):  # failed rows may hold nan or inf
             # RcDwelling.from_params: kW/C -> C/W, kJ/K -> J/K, kW -> W
             r = 1.0 / (samples.heat_loss[rec] * 1000.0)
@@ -414,35 +419,78 @@ def run_scenario(
             else:
                 t_ss = outdoor + 0.0 * r
                 zero, unbounded = indoor <= limit, t_ss >= limit
-            k[:] = np.where(zero, ZERO, np.where(unbounded, UNBOUNDED, FINITE))
+            k = np.where(zero, ZERO, np.where(unbounded, UNBOUNDED, FINITE)).astype(np.int8)
             k[failed] = np.where(bad_params[failed], FAILED, FAILED_INDOOR)  # rc's order
             finite = k == FINITE
-            d[:] = np.where(k == UNBOUNDED, np.inf, 0.0)
+            d = np.where(k == UNBOUNDED, np.inf, 0.0)
             d[failed] = np.nan
             excess = (indoor[finite] - limit) / (limit - t_ss[finite])
             logs = np.fromiter(map(math.log1p, excess.tolist()), float, len(excess))
             d[finite] = (r[finite] * c[finite]) * logs
             iq = np.minimum(np.maximum((indoor - outdoor) / r, 0.0), p_max)  # clamped output
-            m[:] = (p_max - iq) / cop if direction is Direction.POSITIVE else -iq / cop
+            m = (p_max - iq) / cop if direction is Direction.POSITIVE else -iq / cop
             m[(k == ZERO) | failed] = 0.0
+        yield rows, m, d, k
 
+
+def run_scenario(samples: SampleTable, spec: ScenarioSpec, direction: Direction) -> ScenarioRun:
+    """Every block of evaluate_blocks, held as one ScenarioRun. Running the
+    parts of any partition and concatenating gives the same run."""
+    magnitude, duration = np.empty(len(samples)), np.empty(len(samples))
+    kind = np.empty(len(samples), dtype=np.int8)
+    for rows, *columns in evaluate_blocks(samples, spec, direction):
+        magnitude[rows], duration[rows], kind[rows] = columns
     return ScenarioRun(samples, spec, direction, magnitude, duration, kind)
 
 
-def _failure(run: ScenarioRun, i: int) -> str:
-    """rc's message for a row the kernel marked failed."""
-    samples, rec = run.samples, run.samples.record[i]
+def failure_message(samples: SampleTable, spec: ScenarioSpec, direction: Direction,
+                    i: int) -> str:
+    """rc's message for sample i, a row the kernel marked failed."""
+    rec = samples.record[i]
     try:
         dwelling = RcDwelling(
             resistance=1.0 / (float(samples.heat_loss[rec]) * 1000.0),
             capacitance=float(samples.capacitance[rec]) * 1000.0,
             hp_max_thermal=float(samples.hp_size[rec]) * 1000.0,
         )
-        evaluate(dwelling, float(samples.indoor_temp[i]), run.spec.outdoor_temp,
-                 run.spec.cop_curve, run.spec.comfort_band, run.direction)
+        evaluate(dwelling, float(samples.indoor_temp[i]), spec.outdoor_temp,
+                 spec.cop_curve, spec.comfort_band, direction)
     except DomainError as exc:
         return str(exc)
-    raise AssertionError(f"sample {i} failed in run_scenario but not in rc.evaluate")
+    raise AssertionError(f"sample {i} failed in the kernel but not in rc.evaluate")
+
+
+def _sweep_samples(stock: StockTable, regions: RegionTable, specs: Sequence[ScenarioSpec],
+                   expansion: int) -> Iterator[tuple[SampleTable, ScenarioSpec]]:
+    """Yield each spec's samples with it, in order, reusing what consecutive specs share.
+
+    Parameters depend only on (capacity_level, stock_variant), indoor
+    temperatures only on the indoor model, and samples on both plus the
+    uptake fraction, so each is rebuilt only when those differ from the
+    previous spec: an outdoor sweep derives and draws once, and a capacity
+    sweep or a retrofit pair draws once and swaps the parameter columns.
+    Draws are keyed by record identity and seed, so reuse never changes a
+    run. Nothing here keeps the last spec's samples once they are yielded.
+    """
+    if not specs:
+        raise ConfigError("a sweep needs at least one scenario")
+    params = indoor = params_key = samples_key = None
+    held = []  # the current samples, kept for the next spec to reuse
+    for i, spec in enumerate(specs):
+        key = (spec.capacity_level, spec.stock_variant)
+        if (key, spec.indoor_model, spec.uptake_fraction) != samples_key:
+            if samples_key and spec.indoor_model != samples_key[1]:
+                indoor = None  # temperatures are reused only under the same indoor model
+            held.clear()  # free the old samples (all but their temperatures) first
+            if key != params_key:
+                params = None
+                params, params_key = derive_all(stock, regions, *key), key
+            samples_key = (key, spec.indoor_model, spec.uptake_fraction)
+            held.append(build_samples(params, spec, expansion, indoor))
+            indoor = held[0].indoor_temp
+        if i == len(specs) - 1:  # hand the last samples over: the caller's release frees them
+            params = indoor = None
+        yield held.pop() if i == len(specs) - 1 else held[0], spec
 
 
 def run_sweep(
@@ -452,37 +500,10 @@ def run_sweep(
     direction: Direction,
     expansion: int = DEFAULT_EXPANSION,
 ) -> Iterator[ScenarioRun]:
-    """Yield one run per spec, in order, reusing what consecutive specs share.
-
-    Parameters depend only on (capacity_level, stock_variant), indoor
-    temperatures only on the indoor model, and samples on both plus the
-    uptake fraction, so each is rebuilt only when those differ from the
-    previous spec: an outdoor sweep derives and draws once, and a capacity
-    sweep or a retrofit pair draws once and swaps the parameter columns.
-    Draws are keyed by record identity and seed, so reuse never changes a
-    run. The parameters are released before the last run is yielded; its
-    samples stay with the run the caller holds.
-    """
-    if not specs:
-        raise ConfigError("a sweep needs at least one scenario")
-    params = samples = indoor = params_key = samples_key = None
-    for i, spec in enumerate(specs):
-        key = (spec.capacity_level, spec.stock_variant)
-        if (key, spec.indoor_model, spec.uptake_fraction) != samples_key:
-            if samples_key and spec.indoor_model != samples_key[1]:
-                indoor = None  # temperatures are reused only under the same indoor model
-            samples = None  # free the old samples (all but their temperatures) first
-            if key != params_key:
-                params = None
-                params, params_key = derive_all(stock, regions, *key), key
-            samples_key = (key, spec.indoor_model, spec.uptake_fraction)
-            samples = build_samples(params, spec, expansion, indoor)
-            indoor = samples.indoor_temp
-        run = run_scenario(samples, spec, direction)
-        if i == len(specs) - 1:
-            params = samples = indoor = None
-        yield run
-        run = None  # the caller owns it now; do not keep it through the next spec
+    """Yield one run per spec, in order, from the samples _sweep_samples
+    builds and reuses; the last run alone holds the last samples."""
+    for samples, spec in _sweep_samples(stock, regions, specs, expansion):
+        yield run_scenario(samples, spec, direction)
 
 
 def run_stock_scenario(

@@ -240,3 +240,22 @@ def euler_time_to_limit(
         elapsed += dt
         if elapsed > 1000 * tau:  # safety net, unreachable for finite cases
             raise AssertionError("euler oracle failed to cross the limit")
+
+
+# Scenario files that parse but describe no valid spec, and the message that
+# follows the file's name
+INVALID_SPECS = [
+    ("[scenario]\noutdoor_temp = 5\ncapacity_level = bogus\n\n[indoor]\nmodel = fixed\n",
+     "unknown capacity level 'bogus'"),
+    ("[scenario]\noutdoor_temp = 5\n\n[indoor]\nmodel = fixed\n\n[comfort]\nlow = 25\nhigh = 20\n",
+     "comfort band (25.0, 20.0) needs finite low < high"),
+    ("[scenario]\noutdoor_temp = 5\n\n[indoor]\nmodel = fixed\n\n[cop]\npoints = -5:1.0, 0:2.3\n",
+     "every COP must exceed 1"),
+    ("[scenario]\noutdoor_temp = 5\n\n[indoor]\nmodel = truncated_normal\nsd = 0\n",
+     "need a finite mean and sd > 0, got 19.0, 0.0"),
+    ("[scenario]\noutdoor_temp = 5\n\n[indoor]\nmodel = truncated_normal\nseed = -1\n",
+     "indoor seed must be a non-negative integer, got -1"),
+    ("[scenario]\noutdoor_temp = 5\nuptake_fraction = 2\n\n[indoor]\nmodel = fixed\n",
+     "uptake fraction must be within [0, 1], got 2.0"),
+]
+INVALID_SPEC_IDS = ["capacity level", "comfort band", "cop", "sd", "seed", "uptake"]

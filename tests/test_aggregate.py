@@ -1,6 +1,7 @@
 """Envelopes, energy totals, spatial rollups and deterministic exports."""
 
 import csv
+import itertools
 import json
 import math
 import tracemalloc
@@ -38,7 +39,9 @@ from heatflex import (
 )
 from heatflex import scenario as scenario_module
 from heatflex import stock as stock_module
-from heatflex.scenario import FAILED, FAILED_INDOOR, FINITE, UNBOUNDED, ZERO
+from heatflex.aggregate import Fold
+from heatflex.scenario import (FAILED, FAILED_INDOOR, FINITE, UNBOUNDED, ZERO, evaluate_blocks,
+                               failure_message, run_scenario)
 from heatflex.synth import generate_stock
 
 from conftest import column, make_region_table, make_run, make_sample
@@ -419,10 +422,73 @@ def test_rollup_rows_on_both_sides_of_block_boundaries(monkeypatch):
     assert build_envelope(run).durations.tolist() == [60.0, 600.0]
 
 
+# LSOAs of the streamed-fold case: A and B are mapped, every sample of C
+# fails, X is in no lookup, and neither is Y, whose every sample fails
+STREAM_LSOAS = ("E01000A", "E01000B", "E01000C", "E01000X", "E01000Y")
+STREAM_LOOKUP = {"E01000A": ("Wales", "LA 0"), "E01000B": ("London", "LA 1"),
+                 "E01000C": ("London", "LA 2")}
+
+
+def stream_samples(n=61):
+    """n samples over seven records: one per LSOA, with bad heat pump sizes
+    on C's, and a second in A and in C. Indoor temperatures repeat from a
+    short list, rc-implausible ones on some of A's and B's rows and on every
+    row of Y's record; the failed rows' messages differ with their values."""
+    rng = np.random.default_rng(27)
+    record = rng.integers(0, 7, n).astype(np.int32)
+    indoor = rng.choice([15.0, 18.5, 19.0, 21.0, 23.5, 25.0, 65.0, 70.0], n)
+    indoor[record == 4] = rng.choice([61.0, 80.0], np.count_nonzero(record == 4))
+    return SampleTable(STREAM_LSOAS, np.array([0, 1, 2, 3, 4, 0, 2]),
+                       np.array([3.0, 2.0, 1.0, 4.0, 2.0, 0.5, 1.5]), np.full(7, 0.2),
+                       np.array([25000.0, 30000.0, 25000.0, 20000.0, 25000.0, 15000.0, 2e4]),
+                       np.array([5.0, 4.0, 0.0, 6.0, 5.0, 4.5, -1.0]), record, indoor)
+
+
+@pytest.mark.parametrize("block", [1, 7, scenario_module._BLOCK])
+def test_streamed_fold_equals_the_rollup_of_the_held_run(monkeypatch, block):
+    # the CLI folds the kernel's blocks as they are evaluated and never holds
+    # a ScenarioRun: its report and failure lines are those of rollup and
+    # failures() on the held run, whatever the block size
+    monkeypatch.setattr(scenario_module, "_BLOCK", block)
+    regions = make_region_table(STREAM_LOOKUP)
+    samples, seen = stream_samples(), set()
+    for direction, outdoor in itertools.product(Direction, (0.0, 19.0)):
+        spec = ScenarioSpec(outdoor_temp=outdoor, indoor_model=FixedIndoor())
+        run = run_scenario(samples, spec, direction)
+        seen.update(run.kind.tolist())
+        for level in Level:
+            fold = Fold(samples, evaluate_blocks(samples, spec, direction), regions, level)
+            assert [(rows, failure_message(samples, spec, direction, first))
+                    for rows, first in fold.failed] == run.failures()
+            report = fold.report()
+            assert report == rollup(run, regions, level) == reference_rollup(run, regions, level)
+            assert {"E01000C", "LA 2"}.isdisjoint(report.keys)  # every sample there failed
+            assert report.unresolved_lsoas == (() if level in (Level.LSOA, Level.NATIONAL)
+                                               else ("E01000X",))
+    assert seen == {ZERO, FINITE, UNBOUNDED, FAILED, FAILED_INDOOR}
+    assert [rows for rows, _ in run.failures()] == [np.count_nonzero(run.kind == FAILED),
+                                                    np.count_nonzero(run.kind == FAILED_INDOOR)]
+
+    empty = samples[np.zeros(len(samples), dtype=bool)]
+    for level in Level:
+        fold = Fold(empty, evaluate_blocks(empty, spec, direction), regions, level)
+        assert fold.failed == []
+        assert fold.report() == rollup(run_scenario(empty, spec, direction), regions, level)
+
+    mixed = ScenarioRun(samples[:2], spec, direction, np.array([100.0, -100.0]),
+                        np.array([60.0, 60.0]), np.array([FINITE, FINITE], dtype=np.int8))
+    for level in Level:
+        with pytest.raises(ValueError, match="mix"):
+            Fold(mixed.samples, mixed.blocks(), regions, level)
+        with pytest.raises(ValueError, match="mix"):
+            rollup(mixed, regions, level)
+
+
 def test_rollup_peak_memory_per_sample():
-    # beyond the sort of its finite rows, the fold keeps no array the size of
-    # the run: about 18 bytes per sample at the peak on a national run, where
-    # a fold that gathers power, codes and slots for every row takes about 41
+    # beyond its finite rows' code, duration and mass and their sort, the fold
+    # keeps no array the size of the run: about 21 bytes per sample at the
+    # peak on a national run, where a fold that gathers power, codes and
+    # slots for every row takes about 41
     records, lookup = generate_stock(800_000, 7)
     regions = make_region_table({lsoa: (region, la) for lsoa, region, la in lookup})
     spec = ScenarioSpec(outdoor_temp=5.0, indoor_model=TruncatedNormalIndoor(seed=7))

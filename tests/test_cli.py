@@ -18,6 +18,8 @@ import pytest
 from heatflex import DwellingRecord, aggregate, default_regions_path, load_stock, scenario
 from heatflex.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
+from conftest import INVALID_SPEC_IDS, INVALID_SPECS
+
 SCENARIO_FIXED = """\
 [scenario]
 outdoor_temp = 5.0
@@ -458,6 +460,46 @@ def test_cli_builds_no_per_group_objects(workspace, monkeypatch, capsys, command
         aggregate.load_report(next(out.rglob("*.*")).parent, aggregate.ExportFormat(fmt)).groups
 
 
+@pytest.mark.parametrize("command, stages", [
+    (["flex"], ["evaluate"]),
+    (["sweep", "--axis", "outdoor", "--values=0,5"], ["evaluate outdoor=0", "evaluate outdoor=5"]),
+    (["retrofit-compare"], ["evaluate before", "evaluate after"]),
+], ids=["flex", "sweep", "retrofit-compare"])
+def test_cli_holds_no_scenario_run(workspace, monkeypatch, capsys, command, stages):
+    # the CLI folds each block of outcomes as the kernel yields it: it never
+    # calls run_scenario or builds a ScenarioRun, and writes the bytes, the
+    # stage names and the failure lines (which the benchmark counts) of a run
+    # that does not refuse them
+    hot = workspace / "hot.ini"  # indoor 17-75 C: zero, finite and failed rows
+    hot.write_text(SCENARIO_PDF.replace("seed = 42", "seed = 42\nmean = 40.0\nsd = 15.0\n"
+                                        "low = 17.0\nhigh = 75.0"), encoding="utf-8")
+
+    def run(out):
+        capsys.readouterr()
+        assert main([*command, "--stock", str(workspace / "stock.csv"),
+                     "--lookup", str(workspace / "stock_lookup.csv"), "--scenario", str(hot),
+                     "--direction", "neg", "--level", "la", "--format", "csv", "--expansion", "3",
+                     "--out", str(out), "--verbose"]) == EXIT_OK
+        err = capsys.readouterr().err
+        files = {path.relative_to(out): path.read_bytes() for path in out.rglob("*.csv")}
+        timed = re.findall(r"^\[heatflex\] ([a-z =0-9]+): \d+\.\d{3}s", err, re.M)
+        failed = [line for line in err.splitlines() if not re.search(r"\d\.\d{3}s", line)]
+        return files, timed, failed
+
+    files, timed, failed = run(workspace / "held")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole-run outcome columns built")
+
+    monkeypatch.setattr(scenario, "run_scenario", refuse)
+    monkeypatch.setattr(scenario.ScenarioRun, "__init__", refuse)
+    assert run(workspace / "streamed") == (files, timed, failed)
+    assert timed == ["load stock", "winsorize", "load regions"] + [
+        name for stage in stages for name in (stage, "aggregate", "export")]
+    assert len(failed) == 2 * len(stages)  # the count, then the one reason, per run
+    assert all(_load_benchmark_runner().FAILED_SAMPLES.match(line) for line in failed[::2])
+
+
 @pytest.mark.parametrize("command", [
     ["synth", "--dwellings", "2000", "--seed", "3"],
     ["derive", "--stock", "{work}/stock.csv", "--lookup", "{work}/stock_lookup.csv"],
@@ -658,6 +700,21 @@ def test_unparsable_scenario_exits_1_naming_the_file(workspace, capsys, text, me
                  "--direction", "neg", "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(f"heatflex: configuration error: {bad}: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", INVALID_SPECS, ids=INVALID_SPEC_IDS)
+def test_invalid_scenario_exits_1_naming_the_file(workspace, capsys, text, message):
+    # a value the spec refuses is a configuration error of the file, as a
+    # value the parser refuses is, and not a data error (exit 2) without it
+    bad = workspace / "invalid.ini"
+    bad.write_text(text, encoding="utf-8")
+    out = workspace / "invalid"
+    assert main(["flex", "--stock", str(workspace / "stock.csv"),
+                 "--lookup", str(workspace / "stock_lookup.csv"), "--scenario", str(bad),
+                 "--direction", "neg", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"heatflex: configuration error: {bad}: {message}"]
     assert not out.exists()
 
 

@@ -15,6 +15,8 @@ from heatflex import (
     write_scenario,
 )
 
+from conftest import INVALID_SPEC_IDS, INVALID_SPECS
+
 
 def test_round_trip_fixed(tmp_path):
     spec = ScenarioSpec(
@@ -131,3 +133,14 @@ def test_non_finite_number_rejected_naming_section_and_key(tmp_path, body, messa
     with pytest.raises(ConfigError) as exc:
         read_scenario(path)
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("text, message", INVALID_SPECS, ids=INVALID_SPEC_IDS)
+def test_invalid_spec_rejected_naming_the_file(tmp_path, text, message):
+    # every refusal met while building the spec, the spec's own checks
+    # included, is a ConfigError that starts with the file's path
+    path = tmp_path / "scenario.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        read_scenario(path)
+    assert str(exc.value) == f"{path}: {message}"
